@@ -18,6 +18,7 @@
 //! Soundness verdicts (including `UNSOUND`) are *results*, not errors:
 //! the driver only fails on I/O, parse, or verifier problems.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use frost_core::Semantics;
@@ -100,12 +101,16 @@ pub fn run_input_text(name: &str, src: &str) -> Result<String, InputError> {
 
     // Split the module into explicit src/tgt refinement pairs and
     // plain functions to push through the optimizer.
-    let names: Vec<String> = module.functions.iter().map(|f| f.name.clone()).collect();
-    let pairs: Vec<String> = names
-        .iter()
-        .filter(|n| names.iter().any(|m| *m == format!("{n}{TGT_SUFFIX}")))
-        .cloned()
-        .collect();
+    let defined: HashSet<&str> = module.functions.iter().map(|f| f.name.as_str()).collect();
+    let (mut pairs, mut plain) = (Vec::new(), Vec::new());
+    for f in &module.functions {
+        let n = f.name.as_str();
+        if defined.contains(format!("{n}{TGT_SUFFIX}").as_str()) {
+            pairs.push(n);
+        } else if !n.ends_with(TGT_SUFFIX) {
+            plain.push(n);
+        }
+    }
     let opts = CheckOptions::new(Semantics::proposed())
         .with_inputs(InputOptions::new().with_bytes_per_pointer(4));
 
@@ -121,11 +126,6 @@ pub fn run_input_text(name: &str, src: &str) -> Result<String, InputError> {
         }
     }
 
-    let plain: Vec<String> = names
-        .iter()
-        .filter(|n| !pairs.contains(n) && !n.ends_with(TGT_SUFFIX))
-        .cloned()
-        .collect();
     let mut optimized: Module = module.clone();
     if !plain.is_empty() {
         let pm = o2_pipeline(PipelineMode::Fixed);

@@ -26,6 +26,12 @@
 //! result (input-enumeration options, test-memory size); callers that
 //! enumerate inputs differently must use different salts.
 //!
+//! The fingerprint covers one body, so only functions whose behavior
+//! that body fixes are memoized: a function that calls anything but
+//! itself ([`is_self_contained`] is false) resolves those calls against
+//! its module, and is enumerated afresh on every call — never probed,
+//! never stored.
+//!
 //! The cache is thread-safe (a mutexed map plus atomic hit/miss
 //! counters) and is shared by all workers of a parallel campaign. The
 //! map hashes with [`crate::fasthash::FastHasher`]: keys are in-process
@@ -37,12 +43,12 @@ use std::sync::{Arc, Mutex};
 
 use frost_ir::{FunctionKey, Module};
 
-use crate::engine::{run_compiled, Engine};
+use crate::engine::{enumerate_function, run_compiled, Engine};
 use crate::exec::{reference, ExecError, Limits};
 use crate::fasthash::FastHashMap;
 use crate::mem::Memory;
 use crate::outcome::OutcomeSet;
-use crate::plan::PlanCache;
+use crate::plan::{is_self_contained, PlanCache};
 use crate::sem::Semantics;
 use crate::val::Val;
 
@@ -189,8 +195,13 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
-        if module.function(name).is_none() {
+        let Some(func) = module.function(name) else {
             return Arc::new(vec![Err(ExecError::BadFunction(name.to_string()))]);
+        };
+        if !is_self_contained(func) {
+            return Arc::new(enumerate_function(
+                module, name, inputs, mem, sem, limits, engine,
+            ));
         }
         let key = CacheKey {
             key: fkey.clone(),
@@ -425,6 +436,50 @@ mod tests {
         );
         assert_eq!(cache.misses(), 2, "different salts miss the outcome cache");
         assert_eq!(cache.plans().len(), 1, "but share one compiled plan");
+    }
+
+    #[test]
+    fn callers_are_keyed_by_module_not_by_body() {
+        // @f's body is identical in both modules; only its callee differs.
+        let caller = "define i2 @f() {\nentry:\n  %r = call i2 @g()\n  ret i2 %r\n}";
+        let a = parse_module(&format!(
+            "define i2 @g() {{\nentry:\n  ret i2 1\n}}\n{caller}"
+        ))
+        .unwrap();
+        let b = parse_module(&format!(
+            "define i2 @g() {{\nentry:\n  ret i2 2\n}}\n{caller}"
+        ))
+        .unwrap();
+        let cache = OutcomeCache::new();
+        let sem = Semantics::proposed();
+        let mem = Memory::zeroed(0);
+        let run = |m: &Module, name: &str| {
+            let inputs = [vec![]];
+            cache.enumerate(
+                m,
+                name,
+                &inputs,
+                &mem,
+                sem,
+                Limits::default(),
+                Engine::Plan,
+                0,
+            )
+        };
+        let fresh =
+            |m: &Module| enumerate_all_inputs(m, "f", &[vec![]], &mem, sem, Limits::default());
+        assert_eq!(run(&a, "f").as_ref(), &fresh(&a));
+        assert_eq!(
+            run(&b, "f").as_ref(),
+            &fresh(&b),
+            "B must not get A's outcomes"
+        );
+        assert_ne!(fresh(&a), fresh(&b));
+        assert!(cache.is_empty() && cache.plans().is_empty());
+        assert_eq!(cache.hits() + cache.misses(), 0, "never probed");
+        // The self-contained callee is cached as usual.
+        run(&a, "g");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -73,6 +73,6 @@ pub use exec::{
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use mem::Memory;
 pub use outcome::{Event, Outcome, OutcomeSet};
-pub use plan::{Machine, ModulePlan, PlanCache};
+pub use plan::{is_self_contained, Machine, ModulePlan, PlanCache};
 pub use sem::{PoisonAction, SelectSemantics, Semantics};
 pub use val::{enumerate_scalar, lower, poison_of, raise, undef_of, Bit, Bits, Ptr, Val};

@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 use frost_telemetry::Counter;
 
 use frost_core::{
-    enumerate_function, uninit_fill, Bit, Engine, ExecError, Limits, Memory, Outcome, OutcomeCache,
-    OutcomeSet, Ptr, Semantics, Val,
+    enumerate_function, is_self_contained, uninit_fill, Bit, Engine, ExecError, Limits, Memory,
+    Outcome, OutcomeCache, OutcomeSet, Ptr, Semantics, Val,
 };
 use frost_ir::{Function, FunctionKey, Module, Ty};
 
@@ -473,8 +473,13 @@ fn check_refinement_cached_impl(
     // blaming the source side first. One enumeration serves both sides;
     // it is stored under the source's retention rule — an untouched
     // pair *is* its own source, and a sweep that stored every unchanged
-    // function would grow the cache with the space after all.
-    if opts.src_sem == opts.tgt_sem && src_key == tgt_key {
+    // function would grow the cache with the space after all. Equal keys
+    // mean equal behavior only when neither side calls into its module.
+    if opts.src_sem == opts.tgt_sem
+        && src_key == tgt_key
+        && is_self_contained(sf)
+        && is_self_contained(tf)
+    {
         for (mi, tgt_mem) in tgt_mems.iter().enumerate() {
             let salt = input_salt(&opts.inputs, block_sizes, mi);
             let all = cache.enumerate_keyed(
@@ -746,6 +751,37 @@ mod tests {
         }
         // `ret i2 %x` appears as source and target: the cache must hit.
         assert!(cache.hits() > 0);
+    }
+
+    #[test]
+    fn cached_checker_sees_a_changed_callee() {
+        // Same body for @f on both sides; only the callee differs. The
+        // entry's fingerprint is identical, so neither the identity fast
+        // path nor a cache hit may decide this pair.
+        let a = parse_module(
+            "define i2 @g() {\nentry:\n  ret i2 1\n}\n\
+             define i2 @f() {\nentry:\n  %r = call i2 @g()\n  ret i2 %r\n}",
+        )
+        .unwrap();
+        let b = parse_module(
+            "define i2 @g() {\nentry:\n  ret i2 2\n}\n\
+             define i2 @f() {\nentry:\n  %r = call i2 @g()\n  ret i2 %r\n}",
+        )
+        .unwrap();
+        let opts = CheckOptions::new(Semantics::proposed());
+        let fresh = check_refinement(&a, "f", &b, "f", &opts);
+        assert!(fresh.counterexample().is_some(), "@g changed 1 -> 2");
+        let cache = OutcomeCache::new();
+        let cached = check_refinement_cached(&a, "f", &b, "f", &opts, &cache);
+        assert!(cached.counterexample().is_some(), "got {cached:?}");
+        // A warm cache must not answer for the other module either.
+        check_refinement_cached(&a, "f", &a, "f", &opts, &cache).assert_refines();
+        let cached = check_refinement_cached(&a, "f", &b, "f", &opts, &cache);
+        assert!(cached.counterexample().is_some(), "got {cached:?}");
+        assert!(
+            cache.is_empty(),
+            "callers of other functions are not stored"
+        );
     }
 
     #[test]

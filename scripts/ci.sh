@@ -176,7 +176,7 @@ echo "==> doc examples parse (README / IR_REFERENCE / DESIGN + examples/*.fir)"
 # checker, so the gate needs no extra tooling.
 cargo test -q --release -p frost-ir --test doc_examples
 
-echo "==> repro --input smoke (the 5.4 load-widening pair)"
+echo "==> repro --input smoke (the 5.4 load-widening pair, a callee swap)"
 # The sound vector widening and the intentionally-UNSOUND scalar one
 # must both run to a verdict (exit 0 — verdicts are results, not
 # errors) and land on the expected sides.
@@ -190,6 +190,15 @@ cargo run -q --release -p frost-bench --bin repro -- \
     --input examples/load_widen_scalar.fir | tee input-ci.out
 grep -q "@widen -> @widen.tgt: UNSOUND" input-ci.out || {
     echo "ci: scalar load widening no longer caught as unsound" >&2
+    exit 1
+}
+# A pair whose bodies differ only in the helper they call: the verdict
+# must come from the callee's body, so each side's call closure is
+# compiled and checked through the CLI.
+cargo run -q --release -p frost-bench --bin repro -- \
+    --input examples/callee_swap.fir | tee input-ci.out
+grep -q "@f -> @f.tgt: UNSOUND" input-ci.out || {
+    echo "ci: swapping in the nsw helper no longer caught as unsound" >&2
     exit 1
 }
 rm -f input-ci.out
