@@ -430,6 +430,15 @@ impl BitslicePlan {
                         }
                         planes.undef |= lane;
                     }
+                    // A pointer argument makes this a memory function,
+                    // ineligible for the reason its memory steps are
+                    // (see `lower_step`); counting it here, once per
+                    // compile, is what makes `mem_rejects` see the
+                    // memory domain at all.
+                    Val::Ptr(_) => {
+                        bitslice_counters().mem_rejects.incr();
+                        return Err(ineligible(format!("argument {}", tuple[p])));
+                    }
                     other => return Err(ineligible(format!("argument {other}"))),
                 }
             }

@@ -7,9 +7,11 @@
 //! transform leaves the target textually identical to the source, and
 //! aggressive pipelines fold thousands of distinct inputs to the same
 //! handful of canonical forms (`ret 0`, `ret %a`, …). [`OutcomeCache`]
-//! memoizes the *entire per-input outcome vector* of a function under a
-//! given semantics, so each distinct (function shape, semantics)
-//! combination is enumerated exactly once per campaign.
+//! memoizes the *entire outcome vector* of a function under a given
+//! semantics — every input tuple under every candidate initial memory,
+//! memory-major, in one entry — so each distinct (function shape,
+//! semantics) combination is enumerated exactly once per campaign, with
+//! one probe per check side.
 //!
 //! ## Cache key
 //!
@@ -23,8 +25,11 @@
 //! legitimately differ on *errors* (the strict bit-sliced engine
 //! reports ineligible programs as unsupported). The `salt` is a
 //! caller-supplied fingerprint of everything else that shapes the
-//! result (input-enumeration options, test-memory size); callers that
-//! enumerate inputs differently must use different salts.
+//! result (input-enumeration options, initial-block shape); callers that
+//! enumerate inputs differently must use different salts. The memory
+//! list needs no salt of its own when it follows from those options,
+//! the block shape and the semantics (see
+//! [`OutcomeCache::enumerate_keyed_mems`]).
 //!
 //! The fingerprint covers one body, so only functions whose behavior
 //! that body fixes are memoized: a function that calls anything but
@@ -43,8 +48,8 @@ use std::sync::{Arc, Mutex};
 
 use frost_ir::{FunctionKey, Module};
 
-use crate::engine::{enumerate_function, run_compiled, Engine};
-use crate::exec::{reference, ExecError, Limits};
+use crate::engine::{enumerate_function_mems, run_compiled, Engine};
+use crate::exec::{ExecError, Limits};
 use crate::fasthash::FastHashMap;
 use crate::mem::Memory;
 use crate::outcome::OutcomeSet;
@@ -167,18 +172,9 @@ impl OutcomeCache {
     }
 
     /// [`OutcomeCache::enumerate`] for callers that already computed
-    /// `name`'s [`FunctionKey`], with an explicit storage policy.
-    ///
-    /// `store = false` is for *transient* functions — exhaustive-sweep
-    /// sources, which the odometer visits exactly once. The probe still
-    /// runs (the shape may coincide with a canonical form some target
-    /// check stored), but a miss enumerates without inserting into
-    /// either the outcome map or the embedded plan cache, keeping the
-    /// campaign's memory footprint bounded by the *target* shape count
-    /// instead of the full enumerated space.
-    ///
-    /// `key` must be `FunctionKey::of` of `name`'s body; a mismatched
-    /// key silently poisons the cache for that fingerprint.
+    /// `name`'s [`FunctionKey`], with an explicit storage policy — the
+    /// one-memory case of [`OutcomeCache::enumerate_keyed_mems`], whose
+    /// docs cover `store` and `key`.
     // Every parameter is a distinct cache-key component; bundling them
     // into a struct would just move the field list one call up.
     #[allow(clippy::too_many_arguments)]
@@ -195,12 +191,64 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
+        self.enumerate_keyed_mems(
+            fkey,
+            module,
+            name,
+            inputs,
+            std::slice::from_ref(mem),
+            sem,
+            limits,
+            engine,
+            salt,
+            store,
+        )
+    }
+
+    /// Memoized [`enumerate_function_mems`]: every (memory, input) pair
+    /// of `name` under one probe and one entry, memory-major (entry
+    /// `mi * inputs.len() + i` holds memory `mi`, tuple `i`). A miss
+    /// compiles the function once for the whole batch.
+    ///
+    /// `salt` must fingerprint everything that shapes `inputs` and
+    /// `mems` beyond the key. The memory list need not be part of it
+    /// when it is a function of the inputs' block shape, the input
+    /// options, and the semantics' uninitialized fill — as every
+    /// checker's is: the block shape and options are in the salt, and
+    /// the semantics is in the key.
+    ///
+    /// `store = false` is for *transient* functions — exhaustive-sweep
+    /// sources, which the odometer visits exactly once. The probe still
+    /// runs (the shape may coincide with a canonical form some target
+    /// check stored), but a miss enumerates without inserting into
+    /// either the outcome map or the embedded plan cache, keeping the
+    /// campaign's memory footprint bounded by the *target* shape count
+    /// instead of the full enumerated space.
+    ///
+    /// `key` must be `FunctionKey::of` of `name`'s body; a mismatched
+    /// key silently poisons the cache for that fingerprint.
+    // Every parameter is a distinct cache-key component; bundling them
+    // into a struct would just move the field list one call up.
+    #[allow(clippy::too_many_arguments)]
+    pub fn enumerate_keyed_mems(
+        &self,
+        fkey: &FunctionKey,
+        module: &Module,
+        name: &str,
+        inputs: &[Vec<Val>],
+        mems: &[Memory],
+        sem: Semantics,
+        limits: Limits,
+        engine: Engine,
+        salt: u64,
+        store: bool,
+    ) -> Arc<EnumeratedOutcomes> {
         let Some(func) = module.function(name) else {
             return Arc::new(vec![Err(ExecError::BadFunction(name.to_string()))]);
         };
         if !is_self_contained(func) {
-            return Arc::new(enumerate_function(
-                module, name, inputs, mem, sem, limits, engine,
+            return Arc::new(enumerate_function_mems(
+                module, name, inputs, mems, sem, limits, engine,
             ));
         }
         let key = CacheKey {
@@ -223,10 +271,7 @@ impl OutcomeCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         global_cache_counters().1.incr();
         let entry = Arc::new(if engine == Engine::Reference {
-            inputs
-                .iter()
-                .map(|args| reference::enumerate_outcomes(module, name, args, mem, sem, limits))
-                .collect()
+            enumerate_function_mems(module, name, inputs, mems, sem, limits, engine)
         } else {
             // Compiled plans are cached separately from outcome vectors:
             // the plan key ignores limits, engine, and salt, so
@@ -238,8 +283,10 @@ impl OutcomeCache {
                 .plans
                 .get_or_compile_keyed_policy(&key.key, module, name, sem, store)
             {
-                Some((plan, idx)) => run_compiled(&plan, idx, inputs, mem, limits, engine),
-                None => vec![Err(ExecError::BadFunction(name.to_string()))],
+                Some((plan, idx)) => run_compiled(&plan, idx, inputs, mems, limits, engine),
+                None => {
+                    vec![Err(ExecError::BadFunction(name.to_string())); mems.len() * inputs.len()]
+                }
             }
         });
         if store {

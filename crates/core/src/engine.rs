@@ -50,7 +50,8 @@ pub enum Engine {
 ///
 /// This is the single entry point behind `frost_refine::check` and
 /// `frost_fuzz` validation — the concrete evaluators are
-/// implementation detail.
+/// implementation detail. It is [`enumerate_function_mems`] over the
+/// one memory `mem`.
 pub fn enumerate_function(
     module: &Module,
     name: &str,
@@ -60,39 +61,77 @@ pub fn enumerate_function(
     limits: Limits,
     engine: Engine,
 ) -> EnumeratedOutcomes {
+    enumerate_function_mems(
+        module,
+        name,
+        inputs,
+        std::slice::from_ref(mem),
+        sem,
+        limits,
+        engine,
+    )
+}
+
+/// [`enumerate_function`] over every initial memory in `mems` at once:
+/// the function is compiled, and the bit-sliced lowering attempted,
+/// once for the whole batch. The result is memory-major — entry
+/// `mi * inputs.len() + i` holds memory `mi`, tuple `i`.
+pub fn enumerate_function_mems(
+    module: &Module,
+    name: &str,
+    inputs: &[Vec<Val>],
+    mems: &[Memory],
+    sem: Semantics,
+    limits: Limits,
+    engine: Engine,
+) -> EnumeratedOutcomes {
     if engine == Engine::Reference {
-        return inputs
+        return mems
             .iter()
-            .map(|args| reference::enumerate_outcomes(module, name, args, mem, sem, limits))
+            .flat_map(|mem| {
+                inputs.iter().map(move |args| {
+                    reference::enumerate_outcomes(module, name, args, mem, sem, limits)
+                })
+            })
             .collect();
     }
     match ModulePlan::compile_entry(module, name, sem) {
-        Ok((plan, idx)) => run_compiled(&plan, idx, inputs, mem, limits, engine),
-        Err(e) => inputs.iter().map(|_| Err(e.clone())).collect(),
+        Ok((plan, idx)) => run_compiled(&plan, idx, inputs, mems, limits, engine),
+        Err(e) => vec![Err(e); mems.len() * inputs.len()],
     }
 }
 
-/// Runs an already-compiled plan over every input under a plan-backed
-/// engine ([`Engine::Plan`], [`Engine::BitSliced`], or [`Engine::Auto`]
-/// — never [`Engine::Reference`], which has no compiled form).
+/// Runs an already-compiled plan over every (memory, input) pair under
+/// a plan-backed engine ([`Engine::Plan`], [`Engine::BitSliced`], or
+/// [`Engine::Auto`] — never [`Engine::Reference`], which has no
+/// compiled form). Memory-major, like [`enumerate_function_mems`].
 pub(crate) fn run_compiled(
     plan: &ModulePlan,
     idx: usize,
     inputs: &[Vec<Val>],
-    mem: &Memory,
+    mems: &[Memory],
     limits: Limits,
     engine: Engine,
 ) -> EnumeratedOutcomes {
+    // The lowering depends on the inputs only, never on the memory:
+    // eligible programs cannot touch memory, which reaches their
+    // outcomes only through the `Ret` snapshot.
+    let sliced = |bp: BitslicePlan| -> EnumeratedOutcomes {
+        mems.iter()
+            .flat_map(|mem| bp.evaluate(mem))
+            .map(Ok)
+            .collect()
+    };
     match engine {
         Engine::Reference => unreachable!("reference engine has no compiled form"),
-        Engine::Plan => plan_loop(plan, idx, inputs, mem, limits),
+        Engine::Plan => plan_loop(plan, idx, inputs, mems, limits),
         Engine::BitSliced => match BitslicePlan::compile(plan, idx, inputs, limits) {
-            Ok(bp) => bp.evaluate(mem).into_iter().map(Ok).collect(),
-            Err(e) => inputs.iter().map(|_| Err(e.clone())).collect(),
+            Ok(bp) => sliced(bp),
+            Err(e) => vec![Err(e); mems.len() * inputs.len()],
         },
         Engine::Auto => match BitslicePlan::compile(plan, idx, inputs, limits) {
-            Ok(bp) => bp.evaluate(mem).into_iter().map(Ok).collect(),
-            Err(_) => plan_loop(plan, idx, inputs, mem, limits),
+            Ok(bp) => sliced(bp),
+            Err(_) => plan_loop(plan, idx, inputs, mems, limits),
         },
     }
 }
@@ -101,13 +140,13 @@ fn plan_loop(
     plan: &ModulePlan,
     idx: usize,
     inputs: &[Vec<Val>],
-    mem: &Memory,
+    mems: &[Memory],
     limits: Limits,
 ) -> EnumeratedOutcomes {
     let mut machine = Machine::new();
-    inputs
-        .iter()
-        .map(|args| plan.enumerate(idx, args, mem, limits, &mut machine))
+    mems.iter()
+        .flat_map(|mem| inputs.iter().map(move |args| (mem, args)))
+        .map(|(mem, args)| plan.enumerate(idx, args, mem, limits, &mut machine))
         .collect()
 }
 

@@ -65,7 +65,7 @@ pub mod val;
 
 pub use bitslice::BitslicePlan;
 pub use cache::{enumerate_all_inputs, EnumeratedOutcomes, OutcomeCache};
-pub use engine::{enumerate_function, Engine};
+pub use engine::{enumerate_function, enumerate_function_mems, Engine};
 pub use error::FrostError;
 pub use exec::{
     enumerate_outcomes, run_concrete, run_with_script, uninit_fill, ExecError, Limits, RunResult,

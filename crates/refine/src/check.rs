@@ -21,7 +21,7 @@ use frost_core::{
 };
 use frost_ir::{Function, FunctionKey, Module, Ty};
 
-use crate::inputs::{enumerate_inputs_cached, enumerate_memories, InputOptions};
+use crate::inputs::{check_memories, enumerate_inputs_cached, CheckMemories, InputOptions};
 use crate::lattice::{set_refines, unjustified};
 
 /// Configuration of a refinement check.
@@ -321,60 +321,27 @@ fn check_refinement_impl(
         return CheckResult::Inconclusive("input space too large to enumerate".to_string());
     };
     let (tuples, block_sizes) = (&shared.0, shared.1.as_slice());
-    let Some(src_mems) = enumerate_memories(block_sizes, &opts.inputs, uninit_fill(&opts.src_sem))
-    else {
-        return CheckResult::Inconclusive(
-            "initial-memory space too large to enumerate".to_string(),
-        );
+    let Some(mems) = memories(block_sizes, opts) else {
+        return mem_space_too_large();
     };
-    let tgt_mems = enumerate_memories(block_sizes, &opts.inputs, uninit_fill(&opts.tgt_sem))
-        .expect("target memory shape matches the source's");
 
     // Each side enumerates its whole input list in one batch per
     // candidate initial memory through the selected engine (the batch
     // is what lets the bit-sliced backend evaluate every tuple at
-    // once); the comparison loop below then reproduces the sequential
-    // checker's verdict order exactly: memories outermost, tuples
-    // inner.
-    for (src_mem, tgt_mem) in src_mems.iter().zip(&tgt_mems) {
-        let src_all = enumerate_function(
-            src_module,
-            src_fn,
-            tuples,
-            src_mem,
-            opts.src_sem,
-            opts.limits,
-            opts.engine,
-        );
-        let tgt_all = enumerate_function(
-            tgt_module,
-            tgt_fn,
-            tuples,
-            tgt_mem,
-            opts.tgt_sem,
-            opts.limits,
-            opts.engine,
-        );
-
-        let mem_desc = opts
-            .inputs
-            .memory_values
-            .then(|| render_initial_mem(src_mem, block_sizes));
-        for (i, args) in tuples.iter().enumerate() {
-            let src = match &src_all[i] {
-                Ok(s) => s,
-                Err(e) => return inconclusive(e.clone(), args, "source"),
-            };
-            if src.may_ub() {
-                continue; // source UB grants total freedom on this input
-            }
-            let tgt = match &tgt_all[i] {
-                Ok(s) => s,
-                Err(e) => return inconclusive(e.clone(), args, "target"),
-            };
-            if !set_refines(tgt, src) {
-                return violation(args.clone(), mem_desc, src.clone(), tgt.clone());
-            }
+    // once), stopping at the first memory that yields a verdict.
+    for (src_mem, tgt_mem) in mems.src().iter().zip(mems.tgt()) {
+        let run = |module, name, mem, sem| {
+            enumerate_function(module, name, tuples, mem, sem, opts.limits, opts.engine)
+        };
+        let src_all = run(src_module, src_fn, src_mem, opts.src_sem);
+        let tgt_all = run(tgt_module, tgt_fn, tgt_mem, opts.tgt_sem);
+        let verdict = compare(&src_all, &tgt_all, tuples, |_| {
+            opts.inputs
+                .memory_values
+                .then(|| render_initial_mem(src_mem, block_sizes))
+        });
+        if let Some(v) = verdict {
+            return v;
         }
     }
     CheckResult::Refines
@@ -452,16 +419,27 @@ fn check_refinement_cached_impl(
         return CheckResult::Inconclusive("input space too large to enumerate".to_string());
     };
     let (tuples, block_sizes) = (&shared.0, shared.1.as_slice());
-    let Some(src_mems) = enumerate_memories(block_sizes, &opts.inputs, uninit_fill(&opts.src_sem))
-    else {
-        return CheckResult::Inconclusive(
-            "initial-memory space too large to enumerate".to_string(),
-        );
+    let Some(mems) = memories(block_sizes, opts) else {
+        return mem_space_too_large();
     };
-    let tgt_mems = enumerate_memories(block_sizes, &opts.inputs, uninit_fill(&opts.tgt_sem))
-        .expect("target memory shape matches the source's");
     let src_key = FunctionKey::of(sf);
     let tgt_key = FunctionKey::of(tf);
+    // One probe per side covers every (memory, tuple) pair, memory-major.
+    let salt = input_salt(&opts.inputs, block_sizes);
+    let probe = |key, module, name, mems, sem, store| {
+        cache.enumerate_keyed_mems(
+            key,
+            module,
+            name,
+            tuples,
+            mems,
+            sem,
+            opts.limits,
+            opts.engine,
+            salt,
+            store,
+        )
+    };
 
     // Identity fast path: α-equivalent bodies under one semantics — the
     // no-op-transform case, which dominates campaign corpora. Refinement
@@ -480,89 +458,94 @@ fn check_refinement_cached_impl(
         && is_self_contained(sf)
         && is_self_contained(tf)
     {
-        for (mi, tgt_mem) in tgt_mems.iter().enumerate() {
-            let salt = input_salt(&opts.inputs, block_sizes, mi);
-            let all = cache.enumerate_keyed(
-                &tgt_key,
-                tgt_module,
-                tgt_fn,
-                tuples,
-                tgt_mem,
-                opts.tgt_sem,
-                opts.limits,
-                opts.engine,
-                salt,
-                !policy.transient_src,
-            );
-            for (i, args) in tuples.iter().enumerate() {
-                if let Err(e) = &all[i] {
-                    return inconclusive(e.clone(), args, "source");
-                }
-            }
-        }
-        return CheckResult::Refines;
-    }
-
-    for (mi, (src_mem, tgt_mem)) in src_mems.iter().zip(&tgt_mems).enumerate() {
-        let salt = input_salt(&opts.inputs, block_sizes, mi);
-        let src_all = cache.enumerate_keyed(
-            &src_key,
-            src_module,
-            src_fn,
-            tuples,
-            src_mem,
-            opts.src_sem,
-            opts.limits,
-            opts.engine,
-            salt,
-            !policy.transient_src,
-        );
-        let tgt_all = cache.enumerate_keyed(
+        let all = probe(
             &tgt_key,
             tgt_module,
             tgt_fn,
-            tuples,
-            tgt_mem,
+            mems.tgt(),
             opts.tgt_sem,
-            opts.limits,
-            opts.engine,
-            salt,
-            true,
+            !policy.transient_src,
         );
+        let failed = all
+            .iter()
+            .enumerate()
+            .find_map(|(j, r)| Some((j, r.as_ref().err()?)));
+        return match failed {
+            Some((j, e)) => inconclusive(e.clone(), &tuples[j % tuples.len()], "source"),
+            None => CheckResult::Refines,
+        };
+    }
 
-        let mem_desc = opts
-            .inputs
+    let src_all = probe(
+        &src_key,
+        src_module,
+        src_fn,
+        mems.src(),
+        opts.src_sem,
+        !policy.transient_src,
+    );
+    let tgt_all = probe(&tgt_key, tgt_module, tgt_fn, mems.tgt(), opts.tgt_sem, true);
+    compare(&src_all, &tgt_all, tuples, |mi| {
+        opts.inputs
             .memory_values
-            .then(|| render_initial_mem(src_mem, block_sizes));
-        for (i, args) in tuples.iter().enumerate() {
-            let src = match &src_all[i] {
-                Ok(s) => s,
-                Err(e) => return inconclusive(e.clone(), args, "source"),
-            };
-            if src.may_ub() {
-                continue; // source UB grants total freedom on this input
-            }
-            let tgt = match &tgt_all[i] {
-                Ok(s) => s,
-                Err(e) => return inconclusive(e.clone(), args, "target"),
-            };
-            if !set_refines(tgt, src) {
-                return violation(args.clone(), mem_desc, src.clone(), tgt.clone());
-            }
+            .then(|| render_initial_mem(&mems.src()[mi], block_sizes))
+    })
+    .unwrap_or(CheckResult::Refines)
+}
+
+/// Both sides' candidate initial memories for a check's block shape.
+fn memories(block_sizes: &[u32], opts: &CheckOptions) -> Option<CheckMemories> {
+    check_memories(
+        block_sizes,
+        &opts.inputs,
+        uninit_fill(&opts.src_sem),
+        uninit_fill(&opts.tgt_sem),
+    )
+}
+
+fn mem_space_too_large() -> CheckResult {
+    CheckResult::Inconclusive("initial-memory space too large to enumerate".to_string())
+}
+
+/// The verdict of a memory-major batch of per-(memory, tuple) results,
+/// in the sequential checker's order — memories outermost, tuples
+/// inner — or `None` if every pair refines. `initial_mem(mi)` describes
+/// memory `mi`; it runs only for the violation returned.
+fn compare(
+    src_all: &[Result<OutcomeSet, ExecError>],
+    tgt_all: &[Result<OutcomeSet, ExecError>],
+    tuples: &[Vec<Val>],
+    initial_mem: impl FnOnce(usize) -> Option<String>,
+) -> Option<CheckResult> {
+    for (j, (src, tgt)) in src_all.iter().zip(tgt_all).enumerate() {
+        let args = &tuples[j % tuples.len()];
+        let src = match src {
+            Ok(s) => s,
+            Err(e) => return Some(inconclusive(e.clone(), args, "source")),
+        };
+        if src.may_ub() {
+            continue; // source UB grants total freedom on this input
+        }
+        let tgt = match tgt {
+            Ok(s) => s,
+            Err(e) => return Some(inconclusive(e.clone(), args, "target")),
+        };
+        if !set_refines(tgt, src) {
+            let mem = initial_mem(j / tuples.len());
+            return Some(violation(args.clone(), mem, src.clone(), tgt.clone()));
         }
     }
-    CheckResult::Refines
+    None
 }
 
 /// Fingerprint of everything that shapes enumeration besides the
-/// (function, semantics, limits) cache key: the input options, the
-/// initial-block shape, and — when memory contents are enumerated —
-/// which candidate memory this batch ran under.
-fn input_salt(opts: &InputOptions, block_sizes: &[u32], mem_idx: usize) -> u64 {
+/// (function, semantics, limits) cache key: the input options and the
+/// initial-block shape. Those and the semantics' uninitialized fill
+/// determine the memory list, so it needs no part of its own.
+fn input_salt(opts: &InputOptions, block_sizes: &[u32]) -> u64 {
     let mut h = DefaultHasher::new();
     opts.hash(&mut h);
     block_sizes.hash(&mut h);
-    mem_idx.hash(&mut h);
     h.finish()
 }
 
@@ -782,6 +765,22 @@ mod tests {
             cache.is_empty(),
             "callers of other functions are not stored"
         );
+    }
+
+    #[test]
+    fn one_probe_per_side_covers_every_memory() {
+        // One pointer, 4 bytes, contents enumerated: 4^4 = 256 memories,
+        // all behind a single probe and a single entry per side.
+        let src = "define i8 @f(i8* %p) {\nentry:\n  %v = load i8, i8* %p\n  ret i8 %v\n}";
+        let tgt = "define i8 @f(i8* %p) {\nentry:\n  %v = load i8, i8* %p\n  \
+                   %w = freeze i8 %v\n  ret i8 %w\n}";
+        let (sm, tm) = (parse_module(src).unwrap(), parse_module(tgt).unwrap());
+        let inputs = InputOptions::new().with_memory_values(true);
+        let opts = CheckOptions::new(Semantics::proposed()).with_inputs(inputs);
+        let cache = OutcomeCache::new();
+        check_refinement_cached(&sm, "f", &tm, "f", &opts, &cache).assert_refines();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.hits() + cache.misses(), 2);
     }
 
     #[test]

@@ -311,6 +311,86 @@ pub fn enumerate_inputs_cached(func: &Function, opts: &InputOptions) -> Option<S
     computed
 }
 
+/// Both sides' candidate initial memories for one check, from
+/// [`check_memories`]. The two lists pair up index by index and differ
+/// only in the uninitialized-byte fill.
+pub(crate) enum CheckMemories {
+    /// The single all-fill memory of each side (source, target), built
+    /// in place.
+    Single([Memory; 2]),
+    /// The enumerated contents of each side (source, target), shared
+    /// through a process-wide memo.
+    Enumerated(Arc<[Vec<Memory>; 2]>),
+}
+
+impl CheckMemories {
+    /// The source side's memories.
+    pub(crate) fn src(&self) -> &[Memory] {
+        self.side(0)
+    }
+
+    /// The target side's memories.
+    pub(crate) fn tgt(&self) -> &[Memory] {
+        self.side(1)
+    }
+
+    fn side(&self, i: usize) -> &[Memory] {
+        match self {
+            CheckMemories::Single(m) => std::slice::from_ref(&m[i]),
+            CheckMemories::Enumerated(m) => &m[i],
+        }
+    }
+}
+
+/// Memo table type: block shape + options + both fills → both sides'
+/// memory lists (or the memoized failure).
+type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions, Bit, Bit), Option<Arc<[Vec<Memory>; 2]>>>;
+
+fn memory_memo() -> &'static Mutex<MemoryMemo> {
+    static MEMO: OnceLock<Mutex<MemoryMemo>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(FastHashMap::default()))
+}
+
+/// [`enumerate_memories`] for both sides of a check: the source's under
+/// `src_fill`, the target's under `tgt_fill`. Returns `None` when the
+/// memory space exceeds `opts.max_tuples`.
+///
+/// With [`InputOptions::memory_values`] the lists (4^total-bytes
+/// memories each) are memoized per (block shape, options, fills), like
+/// [`enumerate_inputs_cached`]: every check of a memory sweep shares
+/// one pair of lists instead of rebuilding hundreds of images, and the
+/// memo keeps each shape's lists for the life of the process. Without
+/// it each side has one memory, built in place: no lock, no list.
+pub(crate) fn check_memories(
+    block_sizes: &[u32],
+    opts: &InputOptions,
+    src_fill: Bit,
+    tgt_fill: Bit,
+) -> Option<CheckMemories> {
+    if !opts.memory_values {
+        return Some(CheckMemories::Single([
+            Memory::with_initial_blocks(block_sizes, src_fill),
+            Memory::with_initial_blocks(block_sizes, tgt_fill),
+        ]));
+    }
+    let key = (block_sizes.to_vec(), *opts, src_fill, tgt_fill);
+    if let Some(hit) = memory_memo().lock().expect("memory memo lock").get(&key) {
+        return hit.clone().map(CheckMemories::Enumerated);
+    }
+    // Enumerate outside the lock; a racing duplicate insert stores an
+    // identical value.
+    let computed = enumerate_memories(block_sizes, opts, src_fill).map(|src| {
+        let tgt = enumerate_memories(block_sizes, opts, tgt_fill)
+            .expect("target memory shape matches the source's");
+        Arc::new([src, tgt])
+    });
+    memory_memo()
+        .lock()
+        .expect("memory memo lock")
+        .insert(key, computed.clone());
+    computed.map(CheckMemories::Enumerated)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

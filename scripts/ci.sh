@@ -75,28 +75,38 @@ grep -q "violations=0" sweep-ci.out || {
 cargo run -q --release -p frost-bench --bin repro -- \
     --validate-trace BENCH_sweep.json
 
-echo "==> memory-domain exhaustive sweep (2-inst, every initial memory)"
-# The block-based memory domain enters the perf trajectory: the full
-# 2-instruction memory-program space (alloca/load/store/gep/casts ×
+echo "==> memory-domain exhaustive sweep (4-inst, every initial memory)"
+# The block-based memory domain enters the perf trajectory: the whole
+# 4-instruction memory-program space (alloca/load/store/gep/casts ×
 # every {0x00,0x01,0xFF,poison} initial memory) through the fixed
-# alias-aware GVN must complete with zero violations, and its
-# BENCH_mem.json record must pass the telemetry validator.
+# alias-aware GVN must complete with zero violations (~11 s on 2
+# cores), and its BENCH_mem.json record must pass the telemetry
+# validator. Its summary must equal the EXPERIMENTS.md row byte for
+# byte, so a verdict flip anywhere in the space fails the gate.
 rm -f BENCH_mem.json
 cargo run -q --release -p frost-bench --bin repro -- \
-    --experiment sweep --mem --seconds 600 \
+    --experiment sweep --mem --insts 4 --seconds 600 \
     --bench-json BENCH_mem.json \
     | tee sweep-mem-ci.out
 grep -q "complete=true" sweep-mem-ci.out || {
-    echo "ci: 2-inst memory sweep did not complete within budget" >&2
+    echo "ci: 4-inst memory sweep did not complete within budget" >&2
     exit 1
 }
 grep -q "violations=0" sweep-mem-ci.out || {
     echo "ci: memory sweep found violations in fixed alias-aware mode" >&2
     exit 1
 }
+grep "^sweep:" sweep-mem-ci.out > sweep-mem-summary.out
+echo "sweep: checked=32903 changed=25885 refined=32903 violations=0 inconclusive=0 complete=true dedup_skips=0 seen_peak=0" \
+    > sweep-mem-expected.out
+cmp sweep-mem-summary.out sweep-mem-expected.out || {
+    echo "ci: 4-inst memory sweep summary diverges from EXPERIMENTS.md" >&2
+    diff sweep-mem-summary.out sweep-mem-expected.out >&2 || true
+    exit 1
+}
 cargo run -q --release -p frost-bench --bin repro -- \
     --validate-trace BENCH_mem.json
-rm -f sweep-mem-ci.out
+rm -f sweep-mem-ci.out sweep-mem-summary.out sweep-mem-expected.out
 
 echo "==> guarded-program exhaustive sweep (2-inst, assume/unreachable)"
 # The guarded domain: every 2-instruction program over raw, compared,

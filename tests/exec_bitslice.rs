@@ -204,40 +204,45 @@ fn engine_selection_is_observable_but_auto_is_total() {
 }
 
 /// Memory programs are plan-only by design: plane representation is
-/// per-value, not per-byte, so the bit-sliced engine rejects them
-/// (metering `frost.core.bitslice.mem_rejects`) and `Auto` falls back
-/// to the plan loop with reference-identical outcomes.
+/// per-value, not per-byte, so the bit-sliced engine rejects them and
+/// `Auto` falls back to the plan loop with reference-identical
+/// outcomes. The rejection is metered as
+/// `frost.core.bitslice.mem_rejects` exactly once per compile, whether
+/// a memory step or a pointer argument alone turns the compile away.
 #[test]
 fn memory_operations_are_rejected_by_the_bitsliced_engine() {
     // i2 everywhere so nothing *else* (wide constants, wide return) is
     // ineligible — the memory operation must be the rejection.
-    let module = frost::ir::parse_module(
-        "define i2 @f() {\nentry:\n  %a = alloca i2\n  store i2 1, i2* %a\n  \
-         %v = load i2, i2* %a\n  ret i2 %v\n}",
-    )
-    .unwrap();
-    let tuples = vec![vec![]];
-    let mem = Memory::zeroed(0);
-    let run = |engine| {
-        enumerate_function(
-            &module,
-            "f",
-            &tuples,
-            &mem,
-            Semantics::proposed(),
-            Limits::default(),
-            engine,
-        )
-    };
-    let before = frost::telemetry::counter("frost.core.bitslice.mem_rejects").get();
-    assert!(run(Engine::BitSliced).iter().all(|r| r.is_err()));
-    assert!(
-        frost::telemetry::counter("frost.core.bitslice.mem_rejects").get() > before,
-        "the rejection must be metered"
-    );
-    assert_eq!(run(Engine::Auto), run(Engine::Plan));
-    assert_eq!(run(Engine::Plan), run(Engine::Reference));
-    assert!(run(Engine::Auto).iter().all(|r| r.is_ok()));
+    let alloca = "define i2 @f() {\nentry:\n  %a = alloca i2\n  store i2 1, i2* %a\n  \
+                  %v = load i2, i2* %a\n  ret i2 %v\n}";
+    let pointer_param = "define i2 @f(i8* %p) {\nentry:\n  ret i2 1\n}";
+    let mem_rejects = frost::telemetry::counter("frost.core.bitslice.mem_rejects");
+    for src in [alloca, pointer_param] {
+        let module = frost::ir::parse_module(src).unwrap();
+        let opts = InputOptions::new().with_bytes_per_pointer(1);
+        let (tuples, block_sizes) = enumerate_inputs(module.function("f").unwrap(), &opts).unwrap();
+        let sem = Semantics::proposed();
+        let mem = Memory::with_initial_blocks(&block_sizes, uninit_fill(&sem));
+        let run = |engine| {
+            enumerate_function(&module, "f", &tuples, &mem, sem, Limits::default(), engine)
+        };
+        let before = mem_rejects.get();
+        assert!(run(Engine::BitSliced).iter().all(|r| r.is_err()));
+        assert_eq!(
+            mem_rejects.get(),
+            before + 1,
+            "one compile, one metered rejection:\n{module}"
+        );
+        let before = mem_rejects.get();
+        assert_eq!(run(Engine::Auto), run(Engine::Plan));
+        assert_eq!(
+            mem_rejects.get(),
+            before + 1,
+            "Auto probes the bit-sliced compile exactly once before falling back:\n{module}"
+        );
+        assert_eq!(run(Engine::Plan), run(Engine::Reference));
+        assert!(run(Engine::Auto).iter().all(|r| r.is_ok()));
+    }
 }
 
 /// Guarded programs are plan-only by design: `assume` turns a per-lane

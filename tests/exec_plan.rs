@@ -6,13 +6,18 @@
 //! deterministic across worker counts.
 
 use frost::core::exec::reference;
+use frost::core::OutcomeCache;
 use frost::core::{
-    enumerate_outcomes, uninit_fill, ExecError, Limits, Machine, Memory, ModulePlan, Semantics, Val,
+    enumerate_function_mems, enumerate_outcomes, uninit_fill, Engine, ExecError, Limits, Machine,
+    Memory, ModulePlan, Semantics, Val,
 };
 use frost::fuzz::{enumerate_functions, random_functions, Campaign, GenConfig};
-use frost::ir::{parse_module, Function, Module};
+use frost::ir::{parse_module, Function, Inst, Module, Ty, Value};
 use frost::opt::{Dce, InstCombine, Pass, PipelineMode};
-use frost::refine::{enumerate_inputs, enumerate_memories, InputOptions};
+use frost::refine::{
+    check_refinement, check_refinement_cached, enumerate_inputs, enumerate_memories, CheckOptions,
+    CheckResult, InputOptions,
+};
 
 /// Checks one function: every enumerable input's full outcome set (or
 /// enumeration error) must agree exactly between the plan engine and
@@ -82,7 +87,10 @@ fn section6_select_space_stride_matches_reference() {
 /// memory — each byte of the pointer parameter's block ranges over the
 /// reduced alphabet {0x00, 0x01, 0xFF, poison}. Outcome sets must be
 /// byte-identical, including deferred-UB poison and immediate-UB
-/// verdicts from out-of-bounds accesses.
+/// verdicts from out-of-bounds accesses. The batched entry
+/// (`enumerate_function_mems`, every memory in one call) must return
+/// the same per-(memory, tuple) results, memory-major, under every
+/// engine; the strict bit-sliced one refuses each pair instead.
 #[test]
 fn memory_programs_match_reference_over_every_tiny_memory() {
     let sem = Semantics::proposed();
@@ -101,6 +109,7 @@ fn memory_programs_match_reference_over_every_tiny_memory() {
         let plan = ModulePlan::compile(&module, sem);
         let idx = plan.function_index(&name).unwrap();
         let mut machine = Machine::new();
+        let mut expected = Vec::new();
         for mem in &mems {
             for args in &tuples {
                 let via_plan = plan.enumerate(idx, args, mem, limits, &mut machine);
@@ -110,8 +119,26 @@ fn memory_programs_match_reference_over_every_tiny_memory() {
                     via_plan, via_reference,
                     "engines diverged on args {args:?}, memory {mem:?} for:\n{module}"
                 );
+                expected.push(via_reference);
             }
         }
+        let batch =
+            |engine| enumerate_function_mems(&module, &name, &tuples, &mems, sem, limits, engine);
+        for engine in [Engine::Reference, Engine::Plan, Engine::Auto] {
+            assert_eq!(
+                batch(engine),
+                expected,
+                "batched {engine:?} diverged for:\n{module}"
+            );
+        }
+        let strict = batch(Engine::BitSliced);
+        assert_eq!(strict.len(), expected.len());
+        assert!(
+            strict
+                .iter()
+                .all(|r| matches!(r, Err(ExecError::Unsupported(_)))),
+            "a pointer-parameter function is not bit-slice eligible:\n{module}"
+        );
     };
     // The whole two-instruction space, then a stride of the three-
     // instruction space.
@@ -124,6 +151,70 @@ fn memory_programs_match_reference_over_every_tiny_memory() {
     {
         check(&f);
     }
+}
+
+/// The batched cached checker (one probe per side over every initial
+/// memory, `Engine::Auto`) against the uncached per-memory checker on
+/// the reference tree-walk, over the 3-instruction memory space with
+/// memory contents enumerated. The transform is deliberately unsound —
+/// every integer load's uses read 0 instead — so counterexamples hinge
+/// on the initial memory: verdict kind, args, rendered initial memory
+/// and witness must all match.
+#[test]
+fn batched_cached_checker_matches_uncached_reference_over_memories() {
+    // The sweep's shape: one 4-byte block, 256 initial memories.
+    let inputs = InputOptions::new().with_memory_values(true);
+    let opts = CheckOptions::new(Semantics::proposed()).with_inputs(inputs);
+    let reference_opts = opts.engine(Engine::Reference);
+    let cache = OutcomeCache::new();
+    let (mut violations, mut nonzero_mems) = (0, 0);
+    for f in enumerate_functions(GenConfig::memory(3)) {
+        let name = f.name.clone();
+        let mut before = Module::new();
+        before.functions.push(f);
+        let mut after = before.clone();
+        let g = after.function_mut(&name).unwrap();
+        let loads: Vec<_> = g
+            .blocks
+            .iter()
+            .flat_map(|b| b.insts.iter().copied())
+            .filter_map(|id| match g.inst(id) {
+                Inst::Load {
+                    ty: Ty::Int(bits), ..
+                } => Some((id, *bits)),
+                _ => None,
+            })
+            .collect();
+        for (id, bits) in loads {
+            g.replace_all_uses(id, &Value::int(bits, 0));
+        }
+
+        let cached = check_refinement_cached(&before, &name, &after, &name, &opts, &cache);
+        let uncached = check_refinement(&before, &name, &after, &name, &reference_opts);
+        match (&cached, &uncached) {
+            (CheckResult::Refines, CheckResult::Refines) => {}
+            (CheckResult::Inconclusive(a), CheckResult::Inconclusive(b)) => assert_eq!(a, b),
+            (CheckResult::CounterExample(a), CheckResult::CounterExample(b)) => {
+                assert_eq!(a.args, b.args, "args for:\n{before}");
+                assert_eq!(
+                    a.initial_mem, b.initial_mem,
+                    "initial memory for:\n{before}"
+                );
+                assert_eq!(a.witness, b.witness, "witness for:\n{before}");
+                assert_eq!(a.to_string(), b.to_string());
+                violations += 1;
+                if a.initial_mem.as_deref() != Some("b0 = [0x00 0x00 0x00 0x00]") {
+                    nonzero_mems += 1;
+                }
+            }
+            _ => panic!("cached {cached:?} vs uncached {uncached:?} for:\n{before}"),
+        }
+    }
+    assert!(violations > 0, "reading 0 for every load must be caught");
+    assert!(
+        nonzero_mems > 0,
+        "some counterexample must need a memory other than the first"
+    );
 }
 
 /// Random three-instruction functions from the seeded generator — the

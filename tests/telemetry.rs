@@ -2,10 +2,13 @@
 //!
 //! 1. the always-on counters are *deterministic under parallelism* —
 //!    a campaign reports identical verdict totals whether it ran on 1,
-//!    2, or 8 workers (cache hit/miss counters and the plan-engine
-//!    tallies are explicitly excluded: two workers may race a key and
-//!    both count a miss — and both compile and run the racing entry);
-//! 2. traced spans are *well-formed* — per-thread stack discipline,
+//!    2, or 8 workers (the counters of the outcome-cache miss path are
+//!    explicitly excluded: two workers may race a key and both count a
+//!    miss — and both compile, lower, and run the racing entry);
+//! 2. those miss-path work counters are pinned separately: exact across
+//!    1-worker runs, and never below the 1-worker count with more
+//!    workers (a race only adds work);
+//! 3. traced spans are *well-formed* — per-thread stack discipline,
 //!    every stop matches a start, and the rendered JSONL artifact
 //!    validates with zero unmatched events.
 //!
@@ -38,23 +41,53 @@ fn run_campaign(workers: usize) -> ValidationReport {
         })
 }
 
-/// The counter names the determinism contract covers: everything frost
-/// registers except the racy cache tallies and the run/shard shape
-/// counters that legitimately vary with the worker count.
-fn deterministic_counters(snap: &telemetry::Snapshot) -> BTreeMap<String, u64> {
+/// A small memory campaign: every check crosses its programs with all
+/// four one-byte initial memories, so the memory model's counters and
+/// the bit-sliced engine's memory rejections move.
+fn run_memory_campaign(workers: usize) -> ValidationReport {
+    let inputs = InputOptions::new()
+        .with_bytes_per_pointer(1)
+        .with_memory_values(true);
+    Campaign::with_options(CheckOptions::new(Semantics::proposed()).with_inputs(inputs))
+        .with_workers(workers)
+        .run_random(&GenConfig::memory(3), 97, 60, |m| {
+            o2_pipeline(PipelineMode::Fixed).run(m);
+        })
+}
+
+/// Work counters of the outcome-cache miss path that the equality
+/// contract leaves out: plan/bitslice compiles and runs and the
+/// allocas/concretizations they execute happen once per enumeration,
+/// so a raced key double-counts them like the cache miss itself.
+fn is_miss_path(name: &str) -> bool {
+    [
+        "frost.core.cache.",
+        "frost.core.plan.",
+        "frost.core.bitslice.",
+        "frost.core.mem.",
+    ]
+    .iter()
+    .any(|family| name.starts_with(family))
+}
+
+fn counters_where(
+    snap: &telemetry::Snapshot,
+    keep: impl Fn(&str) -> bool,
+) -> BTreeMap<String, u64> {
     snap.counters
         .iter()
-        .filter(|(k, _)| {
-            // `frost.core.plan.*` follows the cache counters out: plan
-            // compiles/runs happen on the outcome-cache miss path, so a
-            // raced key double-counts them too.
-            k.starts_with("frost.")
-                && !k.starts_with("frost.core.cache.")
-                && !k.starts_with("frost.core.plan.")
-                && !k.ends_with(".shards")
-        })
+        .filter(|(k, _)| keep(k))
         .map(|(k, &v)| (k.clone(), v))
         .collect()
+}
+
+/// The counter names the determinism contract covers: everything frost
+/// registers except the miss-path work counters and the run/shard shape
+/// counters that legitimately vary with the worker count.
+fn deterministic_counters(snap: &telemetry::Snapshot) -> BTreeMap<String, u64> {
+    counters_where(snap, |k| {
+        k.starts_with("frost.") && !is_miss_path(k) && !k.ends_with(".shards")
+    })
 }
 
 #[test]
@@ -86,6 +119,46 @@ fn counter_totals_are_worker_count_invariant() {
             counters, baseline,
             "counter totals with {workers} workers diverge from the 1-worker run"
         );
+    }
+}
+
+/// `frost.core.bitslice.*` and `frost.core.mem.*` are off the equality
+/// surface, but a worker-count dependence in them must still show: the
+/// same campaigns on one worker count them identically every time, and
+/// more workers may only add to them — a raced key is enumerated twice,
+/// never zero times.
+#[test]
+fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
+    let _guard = telemetry_lock();
+    let run = |workers| {
+        let before = telemetry::snapshot();
+        assert!(run_campaign(workers).is_clean());
+        assert!(run_memory_campaign(workers).is_clean());
+        counters_where(&telemetry::snapshot().delta(&before), |k| {
+            k.starts_with("frost.core.bitslice.") || k.starts_with("frost.core.mem.")
+        })
+    };
+    let baseline = run(1);
+    for moved in [
+        "frost.core.bitslice.compiles",
+        "frost.core.bitslice.mem_rejects",
+        "frost.core.mem.allocas",
+    ] {
+        assert!(
+            baseline.contains_key(moved),
+            "{moved} must move: {baseline:?}"
+        );
+    }
+    assert_eq!(run(1), baseline, "two 1-worker runs diverge");
+    for workers in [2, 8] {
+        let counters = run(workers);
+        for (name, &one) in &baseline {
+            let got = counters.get(name).copied().unwrap_or(0);
+            assert!(
+                got >= one,
+                "{name}: {got} with {workers} workers, below the 1-worker {one}"
+            );
+        }
     }
 }
 
