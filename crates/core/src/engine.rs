@@ -12,8 +12,9 @@ use frost_ir::Module;
 
 use crate::bitslice::BitslicePlan;
 use crate::cache::EnumeratedOutcomes;
-use crate::exec::{reference, Limits};
+use crate::exec::{reference, ExecError, Limits};
 use crate::mem::Memory;
+use crate::outcome::OutcomeSet;
 use crate::plan::{Machine, ModulePlan};
 use crate::sem::Semantics;
 use crate::val::Val;
@@ -86,14 +87,9 @@ pub fn enumerate_function_mems(
     engine: Engine,
 ) -> EnumeratedOutcomes {
     if engine == Engine::Reference {
-        return mems
-            .iter()
-            .flat_map(|mem| {
-                inputs.iter().map(move |args| {
-                    reference::enumerate_outcomes(module, name, args, mem, sem, limits)
-                })
-            })
-            .collect();
+        return each_pair(mems, inputs, |mem, args| {
+            reference::enumerate_outcomes(module, name, args, mem, sem, limits)
+        });
     }
     match ModulePlan::compile_entry(module, name, sem) {
         Ok((plan, idx)) => run_compiled(&plan, idx, inputs, mems, limits, engine),
@@ -116,11 +112,12 @@ pub(crate) fn run_compiled(
     // The lowering depends on the inputs only, never on the memory:
     // eligible programs cannot touch memory, which reaches their
     // outcomes only through the `Ret` snapshot.
-    let sliced = |bp: BitslicePlan| -> EnumeratedOutcomes {
-        mems.iter()
-            .flat_map(|mem| bp.evaluate(mem))
-            .map(Ok)
-            .collect()
+    let sliced = |bp: BitslicePlan| {
+        let mut all = Vec::with_capacity(mems.len() * inputs.len());
+        for mem in mems {
+            all.extend(bp.evaluate(mem).into_iter().map(Ok));
+        }
+        all
     };
     match engine {
         Engine::Reference => unreachable!("reference engine has no compiled form"),
@@ -144,10 +141,23 @@ fn plan_loop(
     limits: Limits,
 ) -> EnumeratedOutcomes {
     let mut machine = Machine::new();
-    mems.iter()
-        .flat_map(|mem| inputs.iter().map(move |args| (mem, args)))
-        .map(|(mem, args)| plan.enumerate(idx, args, mem, limits, &mut machine))
-        .collect()
+    each_pair(mems, inputs, |mem, args| {
+        plan.enumerate(idx, args, mem, limits, &mut machine)
+    })
+}
+
+/// `run` on every (memory, input) pair, memory-major, into one
+/// allocation.
+fn each_pair(
+    mems: &[Memory],
+    inputs: &[Vec<Val>],
+    mut run: impl FnMut(&Memory, &[Val]) -> Result<OutcomeSet, ExecError>,
+) -> EnumeratedOutcomes {
+    let mut all = Vec::with_capacity(mems.len() * inputs.len());
+    for mem in mems {
+        all.extend(inputs.iter().map(|args| run(mem, args)));
+    }
+    all
 }
 
 #[cfg(test)]

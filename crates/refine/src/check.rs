@@ -517,22 +517,26 @@ fn compare(
     tuples: &[Vec<Val>],
     initial_mem: impl FnOnce(usize) -> Option<String>,
 ) -> Option<CheckResult> {
-    for (j, (src, tgt)) in src_all.iter().zip(tgt_all).enumerate() {
-        let args = &tuples[j % tuples.len()];
-        let src = match src {
-            Ok(s) => s,
-            Err(e) => return Some(inconclusive(e.clone(), args, "source")),
-        };
-        if src.may_ub() {
-            continue; // source UB grants total freedom on this input
-        }
-        let tgt = match tgt {
-            Ok(s) => s,
-            Err(e) => return Some(inconclusive(e.clone(), args, "target")),
-        };
-        if !set_refines(tgt, src) {
-            let mem = initial_mem(j / tuples.len());
-            return Some(violation(args.clone(), mem, src.clone(), tgt.clone()));
+    let per_mem = src_all
+        .chunks(tuples.len())
+        .zip(tgt_all.chunks(tuples.len()));
+    for (mi, (src_mem, tgt_mem)) in per_mem.enumerate() {
+        for ((args, src), tgt) in tuples.iter().zip(src_mem).zip(tgt_mem) {
+            let src = match src {
+                Ok(s) => s,
+                Err(e) => return Some(inconclusive(e.clone(), args, "source")),
+            };
+            if src.may_ub() {
+                continue; // source UB grants total freedom on this input
+            }
+            let tgt = match tgt {
+                Ok(s) => s,
+                Err(e) => return Some(inconclusive(e.clone(), args, "target")),
+            };
+            if !set_refines(tgt, src) {
+                let mem = initial_mem(mi);
+                return Some(violation(args.clone(), mem, src.clone(), tgt.clone()));
+            }
         }
     }
     None
