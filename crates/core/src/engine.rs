@@ -3,7 +3,7 @@
 //! Three evaluators can enumerate a function's behaviors: the retained
 //! tree-walk ([`crate::exec::reference`]), the compiled plan machine
 //! ([`crate::plan`]), and the bit-sliced backend ([`crate::bitslice`]).
-//! All three produce byte-identical [`OutcomeSet`](crate::OutcomeSet)s on the programs
+//! All three produce byte-identical [`OutcomeSet`]s on the programs
 //! they support; they differ only in cost. Downstream code (the
 //! refinement checker, campaigns, benches) selects one with [`Engine`]
 //! and calls [`enumerate_function`] — never a concrete evaluator.
@@ -34,10 +34,9 @@ pub enum Engine {
     Plan,
     /// The bit-sliced backend: every input tuple evaluated at once as
     /// lanes of word-wide plane operations. *Strict*: inputs it cannot
-    /// slice report
-    /// [`ExecError::Unsupported`](crate::exec::ExecError::Unsupported)
-    /// rather than falling back — useful for tests and benches that
-    /// must not silently change engines.
+    /// slice report [`ExecError::Unsupported`] rather than falling back
+    /// — useful for tests and benches that must not silently change
+    /// engines.
     BitSliced,
     /// Bit-sliced when eligible, plan otherwise.
     #[default]
