@@ -1,9 +1,9 @@
 //! Outcome-enumeration memoization for validation campaigns.
 //!
 //! The §6 methodology checks millions of tiny functions, and the hot
-//! loop is [`crate::exec::enumerate_outcomes`] run
-//! once per (function, input) pair for both the source and the target
-//! of every check. Campaign corpora are massively redundant: a no-op
+//! loop is [`enumerate_function_mems`], run once per check side over
+//! every (initial memory, input) pair of the source and of the target.
+//! Campaign corpora are massively redundant: a no-op
 //! transform leaves the target textually identical to the source, and
 //! aggressive pipelines fold thousands of distinct inputs to the same
 //! handful of canonical forms (`ret 0`, `ret %a`, …). [`OutcomeCache`]
@@ -37,6 +37,14 @@
 //! its module, and is enumerated afresh on every call — never probed,
 //! never stored.
 //!
+//! A miss is one [`enumerate_function_mems`] call, which compiles the
+//! function's call closure afresh; compiled plans are not memoized.
+//! Within one campaign the limits and engine are fixed and the salt
+//! follows from the options and the function's signature, so a
+//! `(fingerprint, semantics)` pair has one outcome key: once its first
+//! miss is stored, later probes hit, and it is compiled again only when
+//! two workers race the same key.
+//!
 //! The cache is thread-safe (a mutexed map plus atomic hit/miss
 //! counters) and is shared by all workers of a parallel campaign. The
 //! map hashes with [`crate::fasthash::FastHasher`]: keys are in-process
@@ -48,12 +56,12 @@ use std::sync::{Arc, Mutex};
 
 use frost_ir::{FunctionKey, Module};
 
-use crate::engine::{enumerate_function_mems, run_compiled, Engine};
+use crate::engine::{enumerate_function_mems, Engine};
 use crate::exec::{ExecError, Limits};
 use crate::fasthash::FastHashMap;
 use crate::mem::Memory;
 use crate::outcome::OutcomeSet;
-use crate::plan::{is_self_contained, PlanCache};
+use crate::plan::is_self_contained;
 use crate::sem::Semantics;
 use crate::val::Val;
 
@@ -74,31 +82,11 @@ struct CacheKey {
     salt: u64,
 }
 
-/// Enumerates every behavior of `name` in `module` on each input tuple
-/// in turn (no caching — see [`OutcomeCache::enumerate`] for the
-/// memoized variant).
-///
-/// Runs on the plan engine: the function is compiled once and all
-/// inputs execute on one reused machine, so per-input cost is
-/// execution only. For engine selection use
-/// [`crate::engine::enumerate_function`].
-pub fn enumerate_all_inputs(
-    module: &Module,
-    name: &str,
-    inputs: &[Vec<Val>],
-    mem: &Memory,
-    sem: Semantics,
-    limits: Limits,
-) -> EnumeratedOutcomes {
-    crate::engine::enumerate_function(module, name, inputs, mem, sem, limits, Engine::Plan)
-}
-
 /// A thread-safe memoization table for whole-function outcome
 /// enumeration. See the [module docs](self) for the key structure.
 #[derive(Default)]
 pub struct OutcomeCache {
     map: Mutex<FastHashMap<CacheKey, Arc<EnumeratedOutcomes>>>,
-    plans: PlanCache,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -132,49 +120,8 @@ impl OutcomeCache {
         OutcomeCache::default()
     }
 
-    /// A diagnostic rendering of the fingerprint the cache keys a
-    /// function on: [`FunctionKey`]'s debug form (hash plus encoded
-    /// body words). This replaces the retired canonical-text path —
-    /// keys are structural, never stringly, and the debug rendering is
-    /// only for telling cache entries apart in logs and tests.
-    pub fn key_debug(module: &Module, name: &str) -> Option<String> {
-        Some(format!("{:?}", FunctionKey::of(module.function(name)?)))
-    }
-
-    /// Memoized [`enumerate_all_inputs`]. On a hit the stored vector is
-    /// returned without touching the interpreter; on a miss the
-    /// enumeration runs and the result — including failures, which are
-    /// just as expensive to rediscover — is stored.
-    ///
-    /// `salt` must fingerprint every input-shaping option that is not
-    /// part of the key (input-enumeration options, memory size).
-    // Every parameter is a distinct cache-key component; bundling them
-    // into a struct would just move the field list one call up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enumerate(
-        &self,
-        module: &Module,
-        name: &str,
-        inputs: &[Vec<Val>],
-        mem: &Memory,
-        sem: Semantics,
-        limits: Limits,
-        engine: Engine,
-        salt: u64,
-    ) -> Arc<EnumeratedOutcomes> {
-        let Some(func) = module.function(name) else {
-            return Arc::new(vec![Err(ExecError::BadFunction(name.to_string()))]);
-        };
-        let key = FunctionKey::of(func);
-        self.enumerate_keyed(
-            &key, module, name, inputs, mem, sem, limits, engine, salt, true,
-        )
-    }
-
-    /// [`OutcomeCache::enumerate`] for callers that already computed
-    /// `name`'s [`FunctionKey`], with an explicit storage policy — the
-    /// one-memory case of [`OutcomeCache::enumerate_keyed_mems`], whose
-    /// docs cover `store` and `key`.
+    /// The one-memory case of [`OutcomeCache::enumerate_keyed_mems`],
+    /// whose docs cover `salt`, `store` and `fkey`.
     // Every parameter is a distinct cache-key component; bundling them
     // into a struct would just move the field list one call up.
     #[allow(clippy::too_many_arguments)]
@@ -220,13 +167,16 @@ impl OutcomeCache {
     /// `store = false` is for *transient* functions — exhaustive-sweep
     /// sources, which the odometer visits exactly once. The probe still
     /// runs (the shape may coincide with a canonical form some target
-    /// check stored), but a miss enumerates without inserting into
-    /// either the outcome map or the embedded plan cache, keeping the
-    /// campaign's memory footprint bounded by the *target* shape count
-    /// instead of the full enumerated space.
+    /// check stored), but a miss enumerates without inserting, keeping
+    /// the campaign's memory footprint bounded by the *target* shape
+    /// count instead of the full enumerated space.
     ///
-    /// `key` must be `FunctionKey::of` of `name`'s body; a mismatched
-    /// key silently poisons the cache for that fingerprint.
+    /// `fkey` must be `FunctionKey::of` of `name`'s body; a mismatched
+    /// key silently poisons the cache for that fingerprint. A function
+    /// that is not [self-contained](is_self_contained) is enumerated
+    /// without a probe and never stored; so is a `name` that `module`
+    /// does not define, which yields one [`ExecError::BadFunction`] per
+    /// pair.
     // Every parameter is a distinct cache-key component; bundling them
     // into a struct would just move the field list one call up.
     #[allow(clippy::too_many_arguments)]
@@ -243,13 +193,9 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
-        let Some(func) = module.function(name) else {
-            return Arc::new(vec![Err(ExecError::BadFunction(name.to_string()))]);
-        };
-        if !is_self_contained(func) {
-            return Arc::new(enumerate_function_mems(
-                module, name, inputs, mems, sem, limits, engine,
-            ));
+        let enumerate = || enumerate_function_mems(module, name, inputs, mems, sem, limits, engine);
+        if !module.function(name).is_some_and(is_self_contained) {
+            return Arc::new(enumerate());
         }
         let key = CacheKey {
             key: fkey.clone(),
@@ -270,25 +216,7 @@ impl OutcomeCache {
         // overwrite.
         self.misses.fetch_add(1, Ordering::Relaxed);
         global_cache_counters().1.incr();
-        let entry = Arc::new(if engine == Engine::Reference {
-            enumerate_function_mems(module, name, inputs, mems, sem, limits, engine)
-        } else {
-            // Compiled plans are cached separately from outcome vectors:
-            // the plan key ignores limits, engine, and salt, so
-            // re-enumerating the same function under different input
-            // options still reuses the compilation. The fingerprint
-            // computed above is reused as the plan key, under the same
-            // storage policy.
-            match self
-                .plans
-                .get_or_compile_keyed_policy(&key.key, module, name, sem, store)
-            {
-                Some((plan, idx)) => run_compiled(&plan, idx, inputs, mems, limits, engine),
-                None => {
-                    vec![Err(ExecError::BadFunction(name.to_string())); mems.len() * inputs.len()]
-                }
-            }
-        });
+        let entry = Arc::new(enumerate());
         if store {
             self.map
                 .lock()
@@ -296,12 +224,6 @@ impl OutcomeCache {
                 .insert(key, Arc::clone(&entry));
         }
         entry
-    }
-
-    /// The embedded plan cache (distinct compiled functions, plan-cache
-    /// hit statistics).
-    pub fn plans(&self) -> &PlanCache {
-        &self.plans
     }
 
     /// Lookups answered from the table.
@@ -338,6 +260,7 @@ impl OutcomeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::enumerate_function;
     use frost_ir::parse_module;
 
     const F: &str = "define i2 @g(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  ret i2 %a\n}";
@@ -346,42 +269,53 @@ mod tests {
         (0..4).map(|v| vec![Val::int(2, v)]).collect()
     }
 
+    /// A stored probe of `name` on the empty memory, keyed on its body.
+    fn probe(
+        cache: &OutcomeCache,
+        m: &Module,
+        name: &str,
+        inputs: &[Vec<Val>],
+        sem: Semantics,
+        salt: u64,
+    ) -> Arc<EnumeratedOutcomes> {
+        let key = FunctionKey::of(m.function(name).expect("function exists"));
+        cache.enumerate_keyed(
+            &key,
+            m,
+            name,
+            inputs,
+            &Memory::zeroed(0),
+            sem,
+            Limits::default(),
+            Engine::Plan,
+            salt,
+            true,
+        )
+    }
+
+    fn fresh(m: &Module, name: &str, inputs: &[Vec<Val>]) -> EnumeratedOutcomes {
+        enumerate_function(
+            m,
+            name,
+            inputs,
+            &Memory::zeroed(0),
+            Semantics::proposed(),
+            Limits::default(),
+            Engine::Plan,
+        )
+    }
+
     #[test]
     fn memoized_matches_fresh() {
         let m = parse_module(F).unwrap();
         let cache = OutcomeCache::new();
         let sem = Semantics::proposed();
-        let fresh = enumerate_all_inputs(
-            &m,
-            "g",
-            &inputs(),
-            &Memory::zeroed(0),
-            sem,
-            Limits::default(),
-        );
-        let cached = cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &Memory::zeroed(0),
-            sem,
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
+        let fresh = fresh(&m, "g", &inputs());
+        let cached = probe(&cache, &m, "g", &inputs(), sem, 0);
         assert!(fresh.iter().all(Result::is_ok));
         assert_eq!(&fresh, cached.as_ref());
         assert_eq!(cache.misses(), 1);
-        let again = cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &Memory::zeroed(0),
-            sem,
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
+        let again = probe(&cache, &m, "g", &inputs(), sem, 0);
         assert_eq!(cache.hits(), 1);
         assert!(Arc::ptr_eq(&cached, &again));
     }
@@ -392,26 +326,8 @@ mod tests {
         let b = parse_module(&F.replace("@g", "@differently_named")).unwrap();
         let cache = OutcomeCache::new();
         let sem = Semantics::proposed();
-        cache.enumerate(
-            &a,
-            "g",
-            &inputs(),
-            &Memory::zeroed(0),
-            sem,
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
-        cache.enumerate(
-            &b,
-            "differently_named",
-            &inputs(),
-            &Memory::zeroed(0),
-            sem,
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
+        probe(&cache, &a, "g", &inputs(), sem, 0);
+        probe(&cache, &b, "differently_named", &inputs(), sem, 0);
         assert_eq!(cache.hits(), 1, "same body under a new name must hit");
         assert_eq!(cache.len(), 1);
     }
@@ -420,69 +336,11 @@ mod tests {
     fn semantics_and_salt_separate_entries() {
         let m = parse_module(F).unwrap();
         let cache = OutcomeCache::new();
-        let mem = Memory::zeroed(0);
-        cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &mem,
-            Semantics::proposed(),
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
-        cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &mem,
-            Semantics::legacy_gvn(),
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
-        cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &mem,
-            Semantics::proposed(),
-            Limits::default(),
-            Engine::Plan,
-            1,
-        );
+        probe(&cache, &m, "g", &inputs(), Semantics::proposed(), 0);
+        probe(&cache, &m, "g", &inputs(), Semantics::legacy_gvn(), 0);
+        probe(&cache, &m, "g", &inputs(), Semantics::proposed(), 1);
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn plans_are_shared_across_salts() {
-        let m = parse_module(F).unwrap();
-        let cache = OutcomeCache::new();
-        let mem = Memory::zeroed(0);
-        let sem = Semantics::proposed();
-        cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &mem,
-            sem,
-            Limits::default(),
-            Engine::Plan,
-            0,
-        );
-        cache.enumerate(
-            &m,
-            "g",
-            &inputs(),
-            &mem,
-            sem,
-            Limits::default(),
-            Engine::Plan,
-            1,
-        );
-        assert_eq!(cache.misses(), 2, "different salts miss the outcome cache");
-        assert_eq!(cache.plans().len(), 1, "but share one compiled plan");
     }
 
     #[test]
@@ -499,30 +357,15 @@ mod tests {
         .unwrap();
         let cache = OutcomeCache::new();
         let sem = Semantics::proposed();
-        let mem = Memory::zeroed(0);
-        let run = |m: &Module, name: &str| {
-            let inputs = [vec![]];
-            cache.enumerate(
-                m,
-                name,
-                &inputs,
-                &mem,
-                sem,
-                Limits::default(),
-                Engine::Plan,
-                0,
-            )
-        };
-        let fresh =
-            |m: &Module| enumerate_all_inputs(m, "f", &[vec![]], &mem, sem, Limits::default());
-        assert_eq!(run(&a, "f").as_ref(), &fresh(&a));
+        let run = |m: &Module, name: &str| probe(&cache, m, name, &[vec![]], sem, 0);
+        assert_eq!(run(&a, "f").as_ref(), &fresh(&a, "f", &[vec![]]));
         assert_eq!(
             run(&b, "f").as_ref(),
-            &fresh(&b),
+            &fresh(&b, "f", &[vec![]]),
             "B must not get A's outcomes"
         );
-        assert_ne!(fresh(&a), fresh(&b));
-        assert!(cache.is_empty() && cache.plans().is_empty());
+        assert_ne!(fresh(&a, "f", &[vec![]]), fresh(&b, "f", &[vec![]]));
+        assert!(cache.is_empty());
         assert_eq!(cache.hits() + cache.misses(), 0, "never probed");
         // The self-contained callee is cached as usual.
         run(&a, "g");
@@ -533,7 +376,10 @@ mod tests {
     fn missing_function_is_an_error_not_a_panic() {
         let m = parse_module(F).unwrap();
         let cache = OutcomeCache::new();
-        let r = cache.enumerate(
+        // Any key will do: a missing function is never probed.
+        let key = FunctionKey::of(m.function("g").unwrap());
+        let r = cache.enumerate_keyed(
+            &key,
             &m,
             "nope",
             &inputs(),
@@ -542,7 +388,16 @@ mod tests {
             Limits::default(),
             Engine::Plan,
             0,
+            true,
         );
-        assert!(matches!(r[0], Err(ExecError::BadFunction(_))));
+        assert_eq!(
+            r.len(),
+            inputs().len(),
+            "one entry per (memory, input) pair"
+        );
+        assert!(r
+            .iter()
+            .all(|e| matches!(e, Err(ExecError::BadFunction(_)))));
+        assert!(cache.is_empty());
     }
 }

@@ -76,6 +76,9 @@ pub fn enumerate_function(
 /// the function is compiled, and the bit-sliced lowering attempted,
 /// once for the whole batch. The result is memory-major — entry
 /// `mi * inputs.len() + i` holds memory `mi`, tuple `i`.
+///
+/// A function `module` does not define yields one
+/// [`ExecError::BadFunction`] per pair.
 pub fn enumerate_function_mems(
     module: &Module,
     name: &str,
@@ -85,64 +88,39 @@ pub fn enumerate_function_mems(
     limits: Limits,
     engine: Engine,
 ) -> EnumeratedOutcomes {
+    let pairs = mems.len() * inputs.len();
     if engine == Engine::Reference {
         return each_pair(mems, inputs, |mem, args| {
             reference::enumerate_outcomes(module, name, args, mem, sem, limits)
         });
     }
-    match ModulePlan::compile_entry(module, name, sem) {
-        Ok((plan, idx)) => run_compiled(&plan, idx, inputs, mems, limits, engine),
-        Err(e) => vec![Err(e); mems.len() * inputs.len()],
+    let (plan, idx) = match ModulePlan::compile_entry(module, name, sem) {
+        Ok(compiled) => compiled,
+        Err(e) => return vec![Err(e); pairs],
+    };
+    let plan_loop = || {
+        let mut machine = Machine::new();
+        each_pair(mems, inputs, |mem, args| {
+            plan.enumerate(idx, args, mem, limits, &mut machine)
+        })
+    };
+    if engine == Engine::Plan {
+        return plan_loop();
     }
-}
-
-/// Runs an already-compiled plan over every (memory, input) pair under
-/// a plan-backed engine ([`Engine::Plan`], [`Engine::BitSliced`], or
-/// [`Engine::Auto`] — never [`Engine::Reference`], which has no
-/// compiled form). Memory-major, like [`enumerate_function_mems`].
-pub(crate) fn run_compiled(
-    plan: &ModulePlan,
-    idx: usize,
-    inputs: &[Vec<Val>],
-    mems: &[Memory],
-    limits: Limits,
-    engine: Engine,
-) -> EnumeratedOutcomes {
     // The lowering depends on the inputs only, never on the memory:
     // eligible programs cannot touch memory, which reaches their
     // outcomes only through the `Ret` snapshot.
-    let sliced = |bp: BitslicePlan| {
-        let mut all = Vec::with_capacity(mems.len() * inputs.len());
-        for mem in mems {
-            all.extend(bp.evaluate(mem).into_iter().map(Ok));
+    match BitslicePlan::compile(&plan, idx, inputs, limits) {
+        Ok(bp) => {
+            let mut all = Vec::with_capacity(pairs);
+            for mem in mems {
+                all.extend(bp.evaluate(mem).into_iter().map(Ok));
+            }
+            all
         }
-        all
-    };
-    match engine {
-        Engine::Reference => unreachable!("reference engine has no compiled form"),
-        Engine::Plan => plan_loop(plan, idx, inputs, mems, limits),
-        Engine::BitSliced => match BitslicePlan::compile(plan, idx, inputs, limits) {
-            Ok(bp) => sliced(bp),
-            Err(e) => vec![Err(e); mems.len() * inputs.len()],
-        },
-        Engine::Auto => match BitslicePlan::compile(plan, idx, inputs, limits) {
-            Ok(bp) => sliced(bp),
-            Err(_) => plan_loop(plan, idx, inputs, mems, limits),
-        },
+        Err(e) if engine == Engine::BitSliced => vec![Err(e); pairs],
+        Err(_) => plan_loop(),
     }
-}
-
-fn plan_loop(
-    plan: &ModulePlan,
-    idx: usize,
-    inputs: &[Vec<Val>],
-    mems: &[Memory],
-    limits: Limits,
-) -> EnumeratedOutcomes {
-    let mut machine = Machine::new();
-    each_pair(mems, inputs, |mem, args| {
-        plan.enumerate(idx, args, mem, limits, &mut machine)
-    })
 }
 
 /// `run` on every (memory, input) pair, memory-major, into one

@@ -13,11 +13,15 @@
 //! * [`crate::plan`] — the default: the function is compiled once into
 //!   a slot-indexed [`ModulePlan`] and executed on a reusable
 //!   [`Machine`], with enumeration resuming sibling branches from
-//!   snapshots instead of restarting. The convenience functions in this
-//!   module compile the entry's call closure per call; batch drivers
-//!   ([`crate::cache`], `frost-refine`) compile once and reuse the plan.
+//!   snapshots instead of restarting. The two functions here are
+//!   one-tuple shortcuts that compile the entry's call closure per
+//!   call; every batch of tuples and memories goes through
+//!   [`crate::engine::enumerate_function_mems`], which compiles once
+//!   per batch.
 //! * [`mod@reference`] — the original tree-walk, retained as the executable
-//!   specification for differential testing.
+//!   specification for differential testing. It also keeps the
+//!   scripted single run ([`reference::run_with_script`]) its
+//!   enumeration is built from.
 //!
 //! Both produce byte-identical [`OutcomeSet`]s, step counts, and limit
 //! errors; `tests/exec_plan.rs` and the ci.sh smoke gate enforce this.
@@ -112,36 +116,13 @@ pub enum RunResult {
     NeedChoice(u64),
 }
 
-/// Runs `name` on `args` with the given choice script.
-///
-/// Compiles `name`'s call closure ([`ModulePlan::compile_entry`]) per
-/// call; callers running the same function repeatedly should compile
-/// once and use [`ModulePlan::run_with_script`].
-///
-/// # Errors
-///
-/// Returns an [`ExecError`] on resource exhaustion or unsupported
-/// programs; UB is a *successful* run with [`Outcome::Ub`].
-pub fn run_with_script(
-    module: &Module,
-    name: &str,
-    args: &[Val],
-    mem: &Memory,
-    sem: Semantics,
-    limits: Limits,
-    script: &[u64],
-) -> Result<RunResult, ExecError> {
-    let (plan, idx) = ModulePlan::compile_entry(module, name, sem)?;
-    plan.run_with_script(idx, args, mem, limits, script, &mut Machine::new())
-}
-
 /// Enumerates *every* behavior of `name` on `args` by exploring all
 /// choice scripts.
 ///
 /// Compiles `name`'s call closure ([`ModulePlan::compile_entry`]) per
-/// call; batch callers should compile once (or use
-/// [`crate::cache::OutcomeCache`]) and call [`ModulePlan::enumerate`]
-/// with a reused [`Machine`].
+/// call; batch callers should use
+/// [`crate::engine::enumerate_function_mems`] (or
+/// [`crate::cache::OutcomeCache`]), which compiles once per batch.
 ///
 /// # Errors
 ///

@@ -64,15 +64,13 @@ pub mod sem;
 pub mod val;
 
 pub use bitslice::BitslicePlan;
-pub use cache::{enumerate_all_inputs, EnumeratedOutcomes, OutcomeCache};
+pub use cache::{EnumeratedOutcomes, OutcomeCache};
 pub use engine::{enumerate_function, enumerate_function_mems, Engine};
 pub use error::FrostError;
-pub use exec::{
-    enumerate_outcomes, run_concrete, run_with_script, uninit_fill, ExecError, Limits, RunResult,
-};
+pub use exec::{enumerate_outcomes, run_concrete, uninit_fill, ExecError, Limits, RunResult};
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use mem::Memory;
 pub use outcome::{Event, Outcome, OutcomeSet};
-pub use plan::{is_self_contained, Machine, ModulePlan, PlanCache};
+pub use plan::{is_self_contained, Machine, ModulePlan};
 pub use sem::{PoisonAction, SelectSemantics, Semantics};
 pub use val::{enumerate_scalar, lower, poison_of, raise, undef_of, Bit, Bits, Ptr, Val};

@@ -33,13 +33,11 @@
 //! that comparison possible.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use frost_ir::{
-    BinOp, CastKind, Cond, Flags, Function, FunctionKey, Inst, Module, Terminator, Ty, Value,
-};
+use frost_ir::{BinOp, CastKind, Cond, Flags, Function, Inst, Module, Terminator, Ty, Value};
 
-use crate::exec::{ExecError, Limits, RunResult};
+use crate::exec::{ExecError, Limits};
 use crate::mem::Memory;
 use crate::ops::{eval_binop, eval_cast, eval_icmp, ScalarResult};
 use crate::outcome::{Event, Outcome, OutcomeSet};
@@ -284,9 +282,9 @@ fn callees(func: &Function) -> impl Iterator<Item = &str> {
 /// every `call` in it targets `func` itself. A call to any other name —
 /// another definition, a declaration, or an unknown symbol — resolves
 /// against the enclosing module, so two α-equivalent bodies in different
-/// modules may then behave differently. Memo tables keyed on the body's
-/// [`FunctionKey`] alone ([`PlanCache`],
-/// [`OutcomeCache`](crate::cache::OutcomeCache)) only serve
+/// modules may then behave differently. A memo table keyed on the body's
+/// [`FunctionKey`](frost_ir::FunctionKey) alone
+/// ([`OutcomeCache`](crate::cache::OutcomeCache)) only serves
 /// self-contained functions.
 pub fn is_self_contained(func: &Function) -> bool {
     callees(func).all(|c| c == func.name)
@@ -508,41 +506,6 @@ impl ModulePlan {
             }
         }
         Ok(outcomes)
-    }
-
-    /// Runs function `idx` once under the given choice script.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on resource exhaustion or unsupported
-    /// programs; UB is a *successful* run with [`Outcome::Ub`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn run_with_script(
-        &self,
-        idx: usize,
-        args: &[Val],
-        mem: &Memory,
-        limits: Limits,
-        script: &[u64],
-        machine: &mut Machine,
-    ) -> Result<RunResult, ExecError> {
-        plan_counters().runs.incr();
-        machine.reset();
-        let mut exec = Exec {
-            mp: self,
-            limits,
-            init_mem: mem,
-            m: &mut *machine,
-            script,
-            concrete: false,
-        };
-        match exec.start(idx, args)? {
-            Flow::Done(o) => Ok(RunResult::Done(o)),
-            Flow::NeedChoice(n) => Ok(RunResult::NeedChoice(n)),
-        }
     }
 
     /// Runs function `idx` once, resolving every choice to 0. Returns
@@ -1653,7 +1616,6 @@ fn vector_elems(v: &Val, len: usize) -> Vec<Val> {
 /// telemetry, not a determinism surface — like `frost.core.cache.*`.
 struct PlanCounters {
     compiles: &'static frost_telemetry::Counter,
-    cache_hits: &'static frost_telemetry::Counter,
     runs: &'static frost_telemetry::Counter,
     resumed_prefix_insts: &'static frost_telemetry::Counter,
 }
@@ -1662,115 +1624,9 @@ fn plan_counters() -> &'static PlanCounters {
     static COUNTERS: OnceLock<PlanCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| PlanCounters {
         compiles: frost_telemetry::counter("frost.core.plan.compiles"),
-        cache_hits: frost_telemetry::counter("frost.core.plan.cache_hits"),
         runs: frost_telemetry::counter("frost.core.plan.runs"),
         resumed_prefix_insts: frost_telemetry::counter("frost.core.plan.resumed_prefix_insts"),
     })
-}
-
-/// A thread-safe memoization table for compiled plans, keyed like
-/// [`crate::cache::OutcomeCache`]: the structural fingerprint
-/// ([`frost_ir::FunctionKey`]) of the entry function plus the
-/// semantics. Campaign corpora are full of α-equivalent functions;
-/// each distinct shape is compiled once per campaign. Only
-/// [self-contained](is_self_contained) functions are memoized.
-#[derive(Default)]
-pub struct PlanCache {
-    map: Mutex<PlanMap>,
-}
-
-/// Fingerprint+semantics → (shared plan, entry-function index).
-type PlanMap = crate::fasthash::FastHashMap<(FunctionKey, Semantics), (Arc<ModulePlan>, usize)>;
-
-impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
-    /// The plan for `name` in `module` under `sem`, compiling on a
-    /// miss. Returns the shared plan and the entry function's index in
-    /// it, or `None` if `module` has no function `name`.
-    pub fn get_or_compile(
-        &self,
-        module: &Module,
-        name: &str,
-        sem: Semantics,
-    ) -> Option<(Arc<ModulePlan>, usize)> {
-        let key = FunctionKey::of(module.function(name)?);
-        self.get_or_compile_keyed(&key, module, name, sem)
-    }
-
-    /// [`PlanCache::get_or_compile`] for callers that already computed
-    /// the function's fingerprint (e.g. [`crate::cache::OutcomeCache`],
-    /// whose own key
-    /// contains it) — saves re-encoding the body on every probe.
-    ///
-    /// `key` must be `FunctionKey::of` of `name`'s body; a mismatched
-    /// key silently poisons the cache for that fingerprint.
-    pub fn get_or_compile_keyed(
-        &self,
-        key: &FunctionKey,
-        module: &Module,
-        name: &str,
-        sem: Semantics,
-    ) -> Option<(Arc<ModulePlan>, usize)> {
-        self.get_or_compile_keyed_policy(key, module, name, sem, true)
-    }
-
-    /// [`PlanCache::get_or_compile_keyed`] with an explicit storage
-    /// policy. `store = false` still probes the table (a canonical form
-    /// cached by an earlier target check is reused) but never inserts
-    /// on a miss: exhaustive sweeps walk the source space in order and
-    /// never revisit a source shape, so storing every source plan only
-    /// grows the map — and the allocator's working set — linearly with
-    /// the campaign.
-    ///
-    /// A function that is not [self-contained](is_self_contained) is
-    /// compiled fresh every time, neither probed nor stored: its plan
-    /// depends on the rest of its module, which `key` does not cover.
-    pub fn get_or_compile_keyed_policy(
-        &self,
-        key: &FunctionKey,
-        module: &Module,
-        name: &str,
-        sem: Semantics,
-        store: bool,
-    ) -> Option<(Arc<ModulePlan>, usize)> {
-        let cacheable = is_self_contained(module.function(name)?);
-        if cacheable {
-            if let Some(entry) = self
-                .map
-                .lock()
-                .expect("plan cache lock")
-                .get(&(key.clone(), sem))
-            {
-                plan_counters().cache_hits.incr();
-                return Some(entry.clone());
-            }
-        }
-        // Compile outside the lock; a racing double-compile is a
-        // harmless overwrite of an identical plan.
-        let (plan, idx) = ModulePlan::compile_entry(module, name, sem).ok()?;
-        let entry = (Arc::new(plan), idx);
-        if store && cacheable {
-            self.map
-                .lock()
-                .expect("plan cache lock")
-                .insert((key.clone(), sem), entry.clone());
-        }
-        Some(entry)
-    }
-
-    /// Distinct (function, semantics) combinations stored.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("plan cache lock").len()
-    }
-
-    /// Returns `true` if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -1925,29 +1781,6 @@ b:
     }
 
     #[test]
-    fn plan_cache_hits_on_alpha_equivalent_functions() {
-        let a = parse_module("define i2 @g(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  ret i2 %a\n}")
-            .unwrap();
-        let b = parse_module(
-            "define i2 @renamed(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  ret i2 %a\n}",
-        )
-        .unwrap();
-        let cache = PlanCache::new();
-        let sem = Semantics::proposed();
-        let (p1, i1) = cache.get_or_compile(&a, "g", sem).unwrap();
-        let (p2, i2) = cache.get_or_compile(&b, "renamed", sem).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "same shape must share a plan");
-        assert_eq!(i1, i2);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get_or_compile(&a, "nope", sem).is_none());
-        // Different semantics: separate entry.
-        cache
-            .get_or_compile(&a, "g", Semantics::legacy_gvn())
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn concrete_and_scripted_runs_match_reference_entry_points() {
         let src = "define i8 @f() {\nentry:\n  %a = freeze i8 poison\n  ret i8 %a\n}";
         let m = parse_module(src).unwrap();
@@ -1959,19 +1792,5 @@ b:
             .unwrap();
         assert_eq!(o.ret_val(), Some(&Val::int(8, 0)));
         assert!(steps >= 1);
-        match plan
-            .run_with_script(0, &[], &mem, Limits::default(), &[], &mut machine)
-            .unwrap()
-        {
-            RunResult::NeedChoice(n) => assert_eq!(n, 256),
-            RunResult::Done(_) => panic!("empty script must fork at the freeze"),
-        }
-        match plan
-            .run_with_script(0, &[], &mem, Limits::default(), &[9], &mut machine)
-            .unwrap()
-        {
-            RunResult::Done(o) => assert_eq!(o.ret_val(), Some(&Val::int(8, 9))),
-            RunResult::NeedChoice(_) => panic!("script satisfies the only choice"),
-        }
     }
 }

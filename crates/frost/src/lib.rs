@@ -98,7 +98,7 @@ pub use frost_telemetry as telemetry;
 pub mod prelude {
     pub use frost_core::{
         enumerate_function, enumerate_outcomes, Engine, FrostError, Limits, Machine, Memory,
-        ModulePlan, OutcomeCache, PlanCache, Semantics, Val,
+        ModulePlan, OutcomeCache, Semantics, Val,
     };
     pub use frost_fuzz::{
         enumerate_functions, random_functions, validate_transform, Campaign, CampaignCheckpoint,

@@ -646,7 +646,16 @@ impl Campaign {
                         .field("hi", hi)
                         .field("claim_ns", claim_ns);
                     for i in lo..hi {
-                        self.check_one(i, make, transform, &cache, &mut p, &live, ctrs);
+                        self.check_fn(
+                            i,
+                            make(i),
+                            transform,
+                            &cache,
+                            CheckPolicy::default(),
+                            &mut p,
+                            &live,
+                            ctrs,
+                        );
                     }
                 }
                 if let Some(obs) = &self.observer {
@@ -713,32 +722,8 @@ impl Campaign {
         report
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn check_one(
-        &self,
-        index: usize,
-        make: &(impl Fn(usize) -> Function + Sync),
-        transform: &(impl Fn(&mut Module) + Sync),
-        cache: &OutcomeCache,
-        p: &mut Partial,
-        live: &LiveCounters,
-        ctrs: &CampaignCounters,
-    ) {
-        let f = make(index);
-        self.check_fn(
-            index,
-            f,
-            transform,
-            cache,
-            CheckPolicy::default(),
-            p,
-            live,
-            ctrs,
-        );
-    }
-
     /// Checks one already-generated function; the shared verdict path
-    /// of [`check_one`](Campaign::check_one) and
+    /// of [`run_indexed`](Campaign::run_indexed) and
     /// [`run_exhaustive`](Campaign::run_exhaustive).
     #[allow(clippy::too_many_arguments)]
     fn check_fn(

@@ -19,7 +19,7 @@ use frost_core::{
     enumerate_function, is_self_contained, uninit_fill, Bit, Engine, ExecError, Limits, Memory,
     Outcome, OutcomeCache, OutcomeSet, Ptr, Semantics, Val,
 };
-use frost_ir::{Function, FunctionKey, Module, Ty};
+use frost_ir::{Function, FunctionKey, Module};
 
 use crate::inputs::{check_memories, enumerate_inputs_cached, CheckMemories, InputOptions};
 use crate::lattice::{set_refines, unjustified};
@@ -105,8 +105,8 @@ impl Default for CheckOptions {
 }
 
 /// How a cached check treats the shapes it encounters — the knob that
-/// keeps exhaustive campaigns from growing the outcome/plan caches
-/// linearly with the enumerated space.
+/// keeps exhaustive campaigns from growing the outcome cache linearly
+/// with the enumerated space.
 ///
 /// The default policy stores both sides (right for random corpora and
 /// repeated queries, where any shape may recur). Exhaustive sweeps set
@@ -593,12 +593,6 @@ pub fn check_transform(
     transform(&mut after);
     let result = check_refinement(module, fname, &after, fname, &CheckOptions::new(sem));
     (after, result)
-}
-
-/// Marker re-export so the public API names the [`Ty`] used in docs.
-#[doc(hidden)]
-pub fn _ty_witness(t: &Ty) -> &Ty {
-    t
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //!    explicitly excluded: two workers may race a key and both count a
 //!    miss — and both compile, lower, and run the racing entry);
 //! 2. those miss-path work counters are pinned separately: exact across
-//!    1-worker runs, and never below the 1-worker count with more
-//!    workers (a race only adds work);
+//!    1-worker runs, with one plan compile per cache miss, and never
+//!    below the 1-worker count with more workers (a race only adds
+//!    work);
 //! 3. traced spans are *well-formed* — per-thread stack discipline,
 //!    every stop matches a start, and the rendered JSONL artifact
 //!    validates with zero unmatched events.
@@ -122,11 +123,14 @@ fn counter_totals_are_worker_count_invariant() {
     }
 }
 
-/// `frost.core.bitslice.*` and `frost.core.mem.*` are off the equality
-/// surface, but a worker-count dependence in them must still show: the
-/// same campaigns on one worker count them identically every time, and
-/// more workers may only add to them — a raced key is enumerated twice,
-/// never zero times.
+/// `frost.core.plan.*`, `frost.core.bitslice.*` and `frost.core.mem.*`
+/// are off the equality surface, but a worker-count dependence in them
+/// must still show: the same campaigns on one worker count them
+/// identically every time, and more workers may only add to them — a
+/// raced key is enumerated twice, never zero times. Every campaign
+/// function is self-contained, so on one worker each cache miss is
+/// exactly one plan compile. Cache hits are not pinned: a race turns a
+/// hit into a miss.
 #[test]
 fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
     let _guard = telemetry_lock();
@@ -134,12 +138,21 @@ fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
         let before = telemetry::snapshot();
         assert!(run_campaign(workers).is_clean());
         assert!(run_memory_campaign(workers).is_clean());
-        counters_where(&telemetry::snapshot().delta(&before), |k| {
-            k.starts_with("frost.core.bitslice.") || k.starts_with("frost.core.mem.")
-        })
+        let delta = telemetry::snapshot().delta(&before);
+        let pinned = counters_where(&delta, |k| {
+            [
+                "frost.core.plan.",
+                "frost.core.bitslice.",
+                "frost.core.mem.",
+            ]
+            .iter()
+            .any(|family| k.starts_with(family))
+        });
+        (pinned, delta.counter("frost.core.cache.misses"))
     };
-    let baseline = run(1);
+    let (baseline, misses) = run(1);
     for moved in [
+        "frost.core.plan.compiles",
         "frost.core.bitslice.compiles",
         "frost.core.bitslice.mem_rejects",
         "frost.core.mem.allocas",
@@ -149,9 +162,13 @@ fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
             "{moved} must move: {baseline:?}"
         );
     }
-    assert_eq!(run(1), baseline, "two 1-worker runs diverge");
+    assert_eq!(
+        baseline["frost.core.plan.compiles"], misses,
+        "one plan compile per cache miss"
+    );
+    assert_eq!(run(1).0, baseline, "two 1-worker runs diverge");
     for workers in [2, 8] {
-        let counters = run(workers);
+        let (counters, _) = run(workers);
         for (name, &one) in &baseline {
             let got = counters.get(name).copied().unwrap_or(0);
             assert!(
