@@ -19,9 +19,7 @@
 //!   [`crate::engine::enumerate_function_mems`], which compiles once
 //!   per batch.
 //! * [`mod@reference`] — the original tree-walk, retained as the executable
-//!   specification for differential testing. It also keeps the
-//!   scripted single run ([`reference::run_with_script`]) its
-//!   enumeration is built from.
+//!   specification for differential testing.
 //!
 //! Both produce byte-identical [`OutcomeSet`]s, step counts, and limit
 //! errors; `tests/exec_plan.rs` and the ci.sh smoke gate enforce this.

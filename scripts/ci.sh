@@ -56,7 +56,8 @@ echo "==> full unsampled 2-inst exhaustive sweep (wall-clock budget)"
 # InstCombine on Engine::Auto — ~20 seconds at the measured ~150k fn/s.
 # The deadline is a parachute, not a sample: if the box is slow enough
 # to hit it, the checkpoint line below fails the gate loudly instead of
-# silently shipping a partial sweep. The run also emits the
+# silently shipping a partial sweep. Its summary must equal the
+# EXPERIMENTS.md line byte for byte. The run also emits the
 # machine-readable BENCH_sweep.json benchmark record, which must pass
 # the telemetry validator.
 rm -f sweep-ci.jsonl BENCH_sweep.json
@@ -72,6 +73,15 @@ grep -q "violations=0" sweep-ci.out || {
     echo "ci: full 2-inst sweep found violations in fixed mode" >&2
     exit 1
 }
+grep "^sweep:" sweep-ci.out > sweep-summary.out
+echo "sweep: checked=2661792 changed=2512612 refined=2661792 violations=0 inconclusive=0 complete=true dedup_skips=0 seen_peak=0" \
+    > sweep-expected.out
+cmp sweep-summary.out sweep-expected.out || {
+    echo "ci: full 2-inst sweep summary diverges from EXPERIMENTS.md" >&2
+    diff sweep-summary.out sweep-expected.out >&2 || true
+    exit 1
+}
+rm -f sweep-summary.out sweep-expected.out
 cargo run -q --release -p frost-bench --bin repro -- \
     --validate-trace BENCH_sweep.json
 
@@ -113,6 +123,7 @@ echo "==> guarded-program exhaustive sweep (2-inst, assume/unreachable)"
 # and frozen assume facts (poison constants included) through the fixed
 # assume-simplify + guard-dce band must complete with zero violations,
 # and its BENCH_guard.json record must pass the telemetry validator.
+# Its summary must equal the EXPERIMENTS.md line byte for byte.
 # Guarded functions are plan-only (frost.core.bitslice.guard_rejects),
 # so this also exercises the Engine::Auto fallback path at scale.
 rm -f BENCH_guard.json
@@ -128,9 +139,17 @@ grep -q "violations=0" sweep-guard-ci.out || {
     echo "ci: guarded sweep found violations in the fixed guard band" >&2
     exit 1
 }
+grep "^sweep:" sweep-guard-ci.out > sweep-guard-summary.out
+echo "sweep: checked=58880 changed=43733 refined=58880 violations=0 inconclusive=0 complete=true dedup_skips=0 seen_peak=0" \
+    > sweep-guard-expected.out
+cmp sweep-guard-summary.out sweep-guard-expected.out || {
+    echo "ci: 2-inst guarded sweep summary diverges from EXPERIMENTS.md" >&2
+    diff sweep-guard-summary.out sweep-guard-expected.out >&2 || true
+    exit 1
+}
 cargo run -q --release -p frost-bench --bin repro -- \
     --validate-trace BENCH_guard.json
-rm -f sweep-guard-ci.out
+rm -f sweep-guard-ci.out sweep-guard-summary.out sweep-guard-expected.out
 
 echo "==> 3-inst sharded sweep slice + merge smoke (bounded)"
 # A bounded slice of the 3-instruction space (6.3B functions unpruned,
