@@ -140,13 +140,7 @@ fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
         assert!(run_memory_campaign(workers).is_clean());
         let delta = telemetry::snapshot().delta(&before);
         let pinned = counters_where(&delta, |k| {
-            [
-                "frost.core.plan.",
-                "frost.core.bitslice.",
-                "frost.core.mem.",
-            ]
-            .iter()
-            .any(|family| k.starts_with(family))
+            is_miss_path(k) && !k.starts_with("frost.core.cache.")
         });
         (pinned, delta.counter("frost.core.cache.misses"))
     };
