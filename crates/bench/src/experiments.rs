@@ -16,6 +16,7 @@ use frost_opt::{
     o2_pipeline, Dce, Gvn, Licm, LoopUnswitch, Pass, PipelineMode, Reassociate, Sccp, SimplifyCfg,
 };
 use frost_refine::{check_refinement, CheckOptions, CheckResult, InputOptions};
+use frost_telemetry::json::Writer;
 use frost_workloads::{all_workloads, spec_cfp, spec_cint, Workload};
 
 use crate::harness::{compile_workload, pct_improvement, run_workload, RunMetrics};
@@ -398,10 +399,13 @@ pub fn sweep(
         ));
     }
     let resume = match checkpoint {
-        Some(p) if p.exists() => Some(
-            CampaignCheckpoint::load_jsonl(p)
-                .map_err(|e| FrostError::stage("checkpoint", "sweep", e.to_string()))?,
-        ),
+        Some(p) if p.exists() => {
+            let cp = CampaignCheckpoint::load_jsonl(p)
+                .map_err(|e| FrostError::stage("checkpoint", "sweep", e.to_string()))?;
+            cp.resume(&cfg, (shard_id, shards))
+                .map_err(|e| FrostError::stage("checkpoint", "sweep", e))?;
+            Some(cp)
+        }
         _ => None,
     };
     let pipeline_mode = PipelineMode::Fixed;
@@ -420,10 +424,6 @@ pub fn sweep(
         // Large shards amortize the per-batch scoped-thread spawn;
         // checkpoints land on shard boundaries either way.
         .with_shard_size(4096)
-        // The §6 odometer never revisits a structure, so a
-        // single-machine sweep skips the per-function fingerprint
-        // set and keeps the checkpoint O(cursor), not O(space).
-        .with_dedup(false)
         .with_process_shard(shard_id, shards);
     if let Some(b) = budget {
         campaign = campaign.with_budget(b);
@@ -560,8 +560,6 @@ pub fn sweep_merge(paths: &[PathBuf], save: Option<&Path>) -> Result<(Table, Str
             "changed",
             "violations",
             "inconclusive",
-            "dedup skips",
-            "seen peak",
             "complete",
         ],
     );
@@ -571,8 +569,6 @@ pub fn sweep_merge(paths: &[PathBuf], save: Option<&Path>) -> Result<(Table, Str
         merged.changed.to_string(),
         merged.violations.len().to_string(),
         merged.inconclusive.to_string(),
-        merged.dedup_skips.to_string(),
-        merged.seen_peak.to_string(),
         if merged.done {
             "yes".into()
         } else {
@@ -591,16 +587,13 @@ pub fn sweep_merge(paths: &[PathBuf], save: Option<&Path>) -> Result<(Table, Str
 /// keep their historical spelling; new fields append after them.
 fn sweep_summary(cp: &CampaignCheckpoint) -> String {
     format!(
-        "sweep: checked={} changed={} refined={} violations={} inconclusive={} complete={} \
-         dedup_skips={} seen_peak={}",
+        "sweep: checked={} changed={} refined={} violations={} inconclusive={} complete={}",
         cp.total,
         cp.changed,
         cp.refined,
         cp.violations.len(),
         cp.inconclusive,
         cp.done,
-        cp.dedup_skips,
-        cp.seen_peak,
     )
 }
 
@@ -624,44 +617,46 @@ fn sweep_bench_json(
     let stats = &report.stats;
     let bitslice_passes = delta.counter("frost.core.bitslice.compiles");
     let tuples = delta.counter("frost.core.bitslice.tuples_per_pass");
-    let denom = (cp.total + cp.dedup_skips).max(1);
-    format!(
-        "{{\"kind\":\"bench\",\"experiment\":\"sweep\",\"domain\":\"{domain}\",\
-         \"insts\":{},\"space\":\"{}\",\
-         \"prune\":{},\"shards\":{},\"shard_id\":{},\"checked\":{},\"changed\":{},\
-         \"refined\":{},\"violations\":{},\"inconclusive\":{},\"complete\":{},\
-         \"wall_secs\":{:.3},\"fns_per_sec\":{:.1},\"dedup_skips\":{},\"seen_peak\":{},\
-         \"dedup_skip_rate\":{:.4},\"cache_hits\":{},\"cache_misses\":{},\
-         \"tuples_per_pass\":{:.1},\"pruned_commutative\":{},\"pruned_const_position\":{},\
-         \"pruned_dead\":{},\"stride_skips\":{}}}\n",
-        num_insts,
-        space,
-        prune,
-        shards,
-        shard_id,
-        cp.total,
-        cp.changed,
-        cp.refined,
-        cp.violations.len(),
-        cp.inconclusive,
-        cp.done,
-        stats.wall.as_secs_f64(),
-        stats.functions_per_sec,
-        cp.dedup_skips,
-        cp.seen_peak,
-        cp.dedup_skips as f64 / denom as f64,
-        stats.cache_hits,
-        stats.cache_misses,
-        if bitslice_passes > 0 {
-            tuples as f64 / bitslice_passes as f64
-        } else {
-            0.0
-        },
-        delta.counter("frost.fuzz.gen.pruned.commutative"),
-        delta.counter("frost.fuzz.gen.pruned.const_position"),
-        delta.counter("frost.fuzz.gen.pruned.dead"),
-        delta.counter("frost.fuzz.campaign.skip.stride"),
-    )
+    let round = |x: f64, places: i32| (x * 10f64.powi(places)).round() / 10f64.powi(places);
+    let mut out = String::new();
+    Writer::new(&mut out)
+        .field("kind", "bench")
+        .field("experiment", "sweep")
+        .field("domain", domain)
+        .field("insts", num_insts)
+        .field("space", space.to_string())
+        .field("prune", prune)
+        .field("shards", shards)
+        .field("shard_id", shard_id)
+        .field("checked", cp.total)
+        .field("changed", cp.changed)
+        .field("refined", cp.refined)
+        .field("violations", cp.violations.len())
+        .field("inconclusive", cp.inconclusive)
+        .field("complete", cp.done)
+        .field("wall_secs", round(stats.wall.as_secs_f64(), 3))
+        .field("fns_per_sec", round(stats.functions_per_sec, 1))
+        .field("cache_hits", stats.cache_hits)
+        .field("cache_misses", stats.cache_misses)
+        .field(
+            "tuples_per_pass",
+            round(tuples as f64 / bitslice_passes.max(1) as f64, 1),
+        )
+        .field(
+            "pruned_commutative",
+            delta.counter("frost.fuzz.gen.pruned.commutative"),
+        )
+        .field(
+            "pruned_const_position",
+            delta.counter("frost.fuzz.gen.pruned.const_position"),
+        )
+        .field("pruned_dead", delta.counter("frost.fuzz.gen.pruned.dead"))
+        .field(
+            "stride_skips",
+            delta.counter("frost.fuzz.campaign.skip.stride"),
+        )
+        .finish();
+    out
 }
 
 /// E6 / §3: the inconsistency matrix — each transformation checked
@@ -1491,5 +1486,30 @@ mod tests {
         // The legacy instcombine campaign (row 1) hunts undef bugs; with
         // a small stride it may or may not hit one, so only the fixed
         // rows are asserted here. The full run is asserted in repro.
+    }
+
+    #[test]
+    fn sweep_refuses_a_checkpoint_from_another_space_or_shard() {
+        let dir = std::env::temp_dir().join("frost-sweep-mismatch-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cp.jsonl");
+        std::fs::remove_file(&path).ok();
+        let cp = Some(path.as_path());
+        let (_, summary) = sweep(1, Some(20), None, cp, false, None, None, false, false).unwrap();
+        assert!(summary.contains("checked=20 "), "{summary}");
+        for (insts, shard, guards, mismatch) in [
+            (2, None, false, "config"),
+            (1, Some((1, 2)), false, "shard"),
+            (1, None, true, "config"),
+        ] {
+            let err = sweep(insts, None, None, cp, false, shard, None, false, guards)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("checkpoint") && err.contains(mismatch),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -32,10 +32,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use frost_core::{Engine, FastHashSet, OutcomeCache, Semantics};
-use frost_ir::{function_to_string, Function, FunctionKey, KeyDigest, Module};
+use frost_core::{Engine, OutcomeCache, Semantics};
+use frost_ir::{function_to_string, Function, Module};
 use frost_refine::{check_refinement_cached_policy, CheckOptions, CheckPolicy, CheckResult};
-use frost_telemetry::{Counter, Gauge, Histogram};
+use frost_telemetry::{Counter, Histogram};
 
 use crate::checkpoint::CampaignCheckpoint;
 use crate::gen::{random_functions_range, ExhaustiveFunctions, GenConfig};
@@ -55,9 +55,7 @@ struct CampaignCounters {
     shards: &'static Counter,
     skip_deadline_fns: &'static Counter,
     skip_budget: &'static Counter,
-    skip_dedup: &'static Counter,
     skip_stride: &'static Counter,
-    seen_peak: &'static Gauge,
     resumes: &'static Counter,
     claim_ns: &'static Histogram,
 }
@@ -74,9 +72,7 @@ fn campaign_counters() -> &'static CampaignCounters {
         shards: frost_telemetry::counter("frost.fuzz.campaign.shards"),
         skip_deadline_fns: frost_telemetry::counter("frost.fuzz.campaign.skip.deadline_fns"),
         skip_budget: frost_telemetry::counter("frost.fuzz.campaign.skip.budget"),
-        skip_dedup: frost_telemetry::counter("frost.fuzz.campaign.skip.dedup"),
         skip_stride: frost_telemetry::counter("frost.fuzz.campaign.skip.stride"),
-        seen_peak: frost_telemetry::gauge("frost.fuzz.campaign.seen_peak"),
         resumes: frost_telemetry::counter("frost.fuzz.campaign.resumes"),
         claim_ns: frost_telemetry::histogram("frost.fuzz.campaign.claim_ns"),
     })
@@ -172,7 +168,6 @@ pub struct Campaign {
     budget: Option<usize>,
     deadline: Option<Duration>,
     observer: Option<ProgressObserver>,
-    dedup: bool,
     /// `(shard_id, shards)` — the residue class of the exhaustive walk
     /// this process owns. `(0, 1)` means the whole space.
     process_shard: (usize, usize),
@@ -196,7 +191,6 @@ impl Campaign {
             budget: None,
             deadline: None,
             observer: None,
-            dedup: true,
             process_shard: (0, 1),
         }
     }
@@ -248,16 +242,12 @@ impl Campaign {
         self
     }
 
-    /// Returns this campaign with [`FunctionKey`] dedup on or off for
-    /// [`Campaign::run_exhaustive`] (default: on). Dedup guards
-    /// overlapping cross-process shards at the cost of holding one
-    /// fingerprint per checked function; a single-process sweep of a
-    /// duplicate-free space (every odometer position of the §6
-    /// generator is structurally distinct) can turn it off to keep the
-    /// checkpoint O(cursor) instead of O(space).
+    /// Returns this campaign unchanged: campaigns keep no structural
+    /// dedup set, because the exhaustive odometer never revisits a
+    /// structure and residue-class shards never overlap. Kept for
+    /// callers that still pass a setting.
     #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Campaign {
-        self.dedup = dedup;
+    pub fn with_dedup(self, _dedup: bool) -> Campaign {
         self
     }
 
@@ -344,25 +334,23 @@ impl Campaign {
     }
 
     /// Validates `transform` over the *entire* exhaustive function
-    /// space of `cfg` — the paper's full sweep, not a sample — with
-    /// structural dedup and a resumable checkpoint.
+    /// space of `cfg` — the paper's full sweep, not a sample — with a
+    /// resumable checkpoint.
     ///
     /// The calling thread pulls `shard_size`-function chunks from the
     /// enumeration *sequentially* (aligning to this process's residue
-    /// class under [`Campaign::with_process_shard`], and skipping any
-    /// function whose [`FunctionKey`] digest was already checked, this
-    /// run or a previous one) and feeds them to the workers through a
-    /// bounded hand-off queue, so generation overlaps checking without
-    /// unbounded buffering. Because both the generator walk and the
-    /// dedup decisions happen on one thread, the set of functions
+    /// class under [`Campaign::with_process_shard`]) and feeds them to
+    /// the workers through a bounded hand-off queue, so generation
+    /// overlaps checking without unbounded buffering. Because the
+    /// generator walk happens on one thread, the set of functions
     /// checked — and therefore every verdict — is identical at any
     /// worker count.
     ///
     /// `resume` continues a previous sweep: the generator restarts at
-    /// the checkpoint's cursor (so `fz{n}` names stay globally stable),
-    /// the dedup set is re-seeded, and the returned report is
-    /// **cumulative** — an interrupted-and-resumed sweep ends with
-    /// byte-identical violations and tallies to an uninterrupted one.
+    /// the checkpoint's cursor (so `fz{n}` names stay globally stable)
+    /// and the returned report is **cumulative** — an
+    /// interrupted-and-resumed sweep ends with byte-identical
+    /// violations and tallies to an uninterrupted one.
     /// [`Campaign::with_budget`] bounds the functions checked *this
     /// call* (the natural sharding unit for cross-process sweeps);
     /// [`Campaign::with_deadline`] stops pulling new batches when it
@@ -374,9 +362,11 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// Panics if `resume` was recorded with a different `cfg` (its
-    /// cursor does not fit this space) or under a different
-    /// [`Campaign::with_process_shard`] identity.
+    /// Panics if `resume` belongs to another sweep: it was recorded
+    /// with a different `cfg` or under a different
+    /// [`Campaign::with_process_shard`] identity, or its cursor does not
+    /// fit this space. [`CampaignCheckpoint::resume`] reports the same
+    /// mismatches as an error, for callers that check first.
     pub fn run_exhaustive(
         &self,
         cfg: &GenConfig,
@@ -390,26 +380,22 @@ impl Campaign {
             ctrs.resumes.incr();
         }
         let (shard_id, shards) = self.process_shard;
-        let mut generator = match resume {
-            Some(cp) => {
-                assert_eq!(
-                    (cp.shard_id, cp.shards),
-                    (shard_id, shards),
-                    "checkpoint belongs to shard {}/{}, campaign is configured as {}/{}",
-                    cp.shard_id,
-                    cp.shards,
-                    shard_id,
+        let (mut generator, mut cp) = match resume {
+            Some(cp) => (
+                cp.resume(cfg, self.process_shard)
+                    .unwrap_or_else(|e| panic!("cannot resume: {e}")),
+                cp.clone(),
+            ),
+            None => (
+                ExhaustiveFunctions::new(cfg.clone()),
+                CampaignCheckpoint {
+                    config: format!("{cfg:?}"),
                     shards,
-                );
-                ExhaustiveFunctions::resume(cfg.clone(), &cp.cursor, cp.counter, cp.done)
-                    .expect("checkpoint cursor does not fit this GenConfig")
-            }
-            None => ExhaustiveFunctions::new(cfg.clone()),
+                    shard_id,
+                    ..CampaignCheckpoint::default()
+                },
+            ),
         };
-        let mut cp = resume.cloned().unwrap_or_default();
-        cp.shards = shards;
-        cp.shard_id = shard_id;
-        let mut seen: FastHashSet<KeyDigest> = cp.seen.iter().copied().collect();
         let est_total =
             (generator.approx_size() / shards.max(1) as u128).min(usize::MAX as u128) as usize;
 
@@ -428,11 +414,10 @@ impl Campaign {
         let mut deadline_hit = false;
         let partials: Vec<Partial> = {
             // Sequential chunk pulling: the single-threaded generator
-            // walk — stride alignment, then dedup — is the determinism
-            // anchor. A function enters `seen` if and only if some
-            // chunk will check it, so the set of functions checked is
-            // identical at any worker count.
-            let (generator, seen, cp) = (&mut generator, &mut seen, &mut cp);
+            // walk, stride alignment included, is the determinism
+            // anchor, so the set of functions checked is identical at
+            // any worker count.
+            let generator = &mut generator;
             let (deadline_hit, budget_hit) = (&mut deadline_hit, &mut budget_hit);
             let checked = &mut checked_this_run;
             let mut pull_chunk = move || -> Vec<(usize, Function)> {
@@ -470,15 +455,6 @@ impl Campaign {
                     }
                     let index = (*generator).position() as usize;
                     let Some(f) = generator.next() else { break };
-                    if self.dedup {
-                        let digest = FunctionKey::of(&f).digest();
-                        if !seen.insert(digest) {
-                            cp.dedup_skips += 1;
-                            ctrs.skip_dedup.incr();
-                            continue;
-                        }
-                        cp.seen.push(digest);
-                    }
                     chunk.push((index, f));
                 }
                 *checked += chunk.len();
@@ -554,11 +530,6 @@ impl Campaign {
         // Erase chunk-completion order; cross-run appends are already
         // index-monotone, so this also keeps resumed reports canonical.
         cp.violations.sort_by_key(|v| v.index);
-        // Canonical artifact order: equal dedup sets serialize
-        // byte-identically no matter how the walk interleaved.
-        cp.seen.sort_unstable();
-        cp.seen_peak = cp.seen_peak.max(seen.len());
-        ctrs.seen_peak.record_max(seen.len() as u64);
         let (cursor, counter, done) = generator.cursor();
         cp.cursor = cursor;
         cp.counter = counter;
@@ -1069,38 +1040,6 @@ mod tests {
         assert_same_verdicts(&full, &resumed);
         assert_eq!(full_cp, resumed_cp);
         assert!(resumed_cp.done);
-    }
-
-    #[test]
-    fn rewound_cursor_skips_already_checked_functions() {
-        // A checkpoint whose cursor is rewound to the start but whose
-        // dedup set is intact models overlapping cross-process shards:
-        // the sweep walks the space again but re-checks nothing.
-        let cfg = tiny_undef_cfg();
-        let opts = CheckOptions::new(Semantics::legacy_gvn());
-        let (full, cp) = Campaign::with_options(opts).with_workers(1).run_exhaustive(
-            &cfg,
-            None,
-            legacy_transform(),
-        );
-        let rewound = CampaignCheckpoint {
-            cursor: Vec::new(),
-            counter: 0,
-            done: false,
-            ..cp.clone()
-        };
-        let rewound = CampaignCheckpoint {
-            cursor: ExhaustiveFunctions::new(cfg.clone()).cursor().0,
-            ..rewound
-        };
-        let (again, cp2) = Campaign::with_options(opts).with_workers(1).run_exhaustive(
-            &cfg,
-            Some(&rewound),
-            legacy_transform(),
-        );
-        assert_same_verdicts(&full, &again);
-        assert_eq!(cp2.dedup_skips, cp.dedup_skips + full.total);
-        assert_eq!(cp2.seen, cp.seen);
     }
 
     #[test]

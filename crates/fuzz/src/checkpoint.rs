@@ -1,59 +1,53 @@
 //! Durable campaign checkpoints: the state a killed exhaustive sweep
 //! needs to continue exactly where it stopped.
 //!
-//! A [`CampaignCheckpoint`] captures three things:
+//! A [`CampaignCheckpoint`] captures:
 //!
+//! * the **swept space** — `config`, the `Debug` form of the
+//!   [`GenConfig`], so [`CampaignCheckpoint::resume`] and
+//!   [`CampaignCheckpoint::merge`] refuse to continue or combine
+//!   sweeps of different spaces;
 //! * the **generator cursor** — the odometer indices, counter and done
-//!   flag of [`ExhaustiveFunctions`](crate::ExhaustiveFunctions), so a
-//!   resumed sweep regenerates the *next* unchecked function (function
-//!   names `fz{counter}` stay stable across restarts);
-//! * the **cumulative verdicts** — tallies plus every
-//!   [`Violation`] found so far, so the final report of an interrupted
-//!   and resumed sweep is byte-identical to an uninterrupted one;
-//! * the **dedup set** — compact [`KeyDigest`] fingerprints of every
-//!   function already checked (128 bits each instead of a full
-//!   [`FunctionKey`] word encoding), so structural duplicates are
-//!   skipped exactly once per sweep even across process boundaries,
-//!   at bounded memory;
+//!   flag of [`ExhaustiveFunctions`], so a resumed sweep regenerates
+//!   the *next* unchecked function (function names `fz{counter}` stay
+//!   stable across restarts);
 //! * the **shard identity** — which residue class of a `K`-process
-//!   campaign this checkpoint belongs to, so
-//!   [`CampaignCheckpoint::merge`] can refuse to combine mismatched or
-//!   incomplete shard sets.
+//!   campaign this checkpoint belongs to, so a resume under another
+//!   shard and a merge of mismatched or incomplete shard sets are
+//!   refused;
+//! * the **cumulative verdicts** — tallies plus every [`Violation`]
+//!   found so far, so the final report of an interrupted and resumed
+//!   sweep is byte-identical to an uninterrupted one.
 //!
-//! ## JSONL schema (the checkpoint contract)
+//! ## JSONL schema (the checkpoint contract, version 3)
 //!
-//! One JSON object per line, discriminated by `"kind"`:
+//! One flat JSON object per line, written and read through
+//! [`frost_telemetry::json`] and discriminated by `"kind"`:
 //!
-//! * line 1 — the header: `kind:"checkpoint"`, `version:2`, the cursor
-//!   (`cursor`/`counter`/`done`), the shard identity
-//!   (`shards`/`shard_id`), the tallies
-//!   (`total`/`changed`/`refined`/`inconclusive`/`dedup_skips`), the
-//!   peak dedup-set size (`seen_peak`), and the expected body line
-//!   counts (`violations`/`seen`);
+//! * line 1 — the header: `kind:"checkpoint"`, `version:3`, `config`,
+//!   the cursor (`cursor`/`counter`/`done`; `counter` is a decimal
+//!   string, since a JSON number cannot hold every `u64`), the shard
+//!   identity (`shards`/`shard_id`), the tallies
+//!   (`total`/`changed`/`refined`/`inconclusive`), and the number of
+//!   violation lines that follow (`violations`);
 //! * `kind:"violation"` — one per recorded violation, carrying
-//!   `index`/`before`/`after`/`counterexample`;
-//! * `kind:"seen"` — one per dedup-set entry, carrying `digest` (the
-//!   two `u64` halves of a [`KeyDigest`] rendered as decimal strings,
-//!   since JSON numbers cannot hold a full `u64`).
+//!   `index`/`before`/`after`/`counterexample`.
 //!
-//! Version-1 artifacts (whose `seen` lines carry the fingerprint's raw
-//! `words` and whose header lacks the shard fields) still load: the
-//! words are re-digested and the shard identity defaults to the
-//! single-process `1/0`.
-//!
-//! [`CampaignCheckpoint::from_jsonl`] validates the artifact with the
-//! same hand-rolled byte-level parser pattern as
-//! `frost_telemetry::validate_jsonl`: every line must parse as a flat
-//! object, carry its kind's required keys, and the body counts must
-//! match the header — errors name the first offending line.
+//! Versions 1 and 2, which also carried a structural dedup set, are
+//! refused with an error. [`CampaignCheckpoint::from_jsonl`] requires
+//! every line to carry its kind's keys and the violation count to match
+//! the header; errors name the first offending line.
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use frost_ir::{FunctionKey, KeyDigest};
+use frost_telemetry::json::{self, Writer};
 
+use crate::gen::{ExhaustiveFunctions, GenConfig};
 use crate::validate::Violation;
+
+/// The checkpoint format this build writes and reads.
+const VERSION: u64 = 3;
 
 /// The resumable state of an exhaustive validation sweep. Produced by
 /// `Campaign::run_exhaustive`, serialized with
@@ -63,6 +57,8 @@ use crate::validate::Violation;
 /// campaign combine with [`CampaignCheckpoint::merge`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignCheckpoint {
+    /// The `Debug` form of the [`GenConfig`] being swept.
+    pub config: String,
     /// Odometer indices of the next function to generate.
     pub cursor: Vec<usize>,
     /// Generator counter of the next function (`fz{counter}`).
@@ -75,7 +71,7 @@ pub struct CampaignCheckpoint {
     /// Which residue class (`position % shards`) this checkpoint
     /// covers.
     pub shard_id: usize,
-    /// Functions checked so far (after dedup).
+    /// Functions checked so far.
     pub total: usize,
     /// Functions the transform changed, so far.
     pub changed: usize,
@@ -83,23 +79,14 @@ pub struct CampaignCheckpoint {
     pub refined: usize,
     /// Inconclusive checks, so far.
     pub inconclusive: usize,
-    /// Structural duplicates skipped by the dedup set, so far.
-    pub dedup_skips: usize,
-    /// Largest size the in-memory dedup set reached (for a merged
-    /// checkpoint: the sum over shards — the campaign's aggregate
-    /// memory bound, since shards run concurrently).
-    pub seen_peak: usize,
     /// Every violation found so far, sorted by corpus index.
     pub violations: Vec<Violation>,
-    /// The dedup set: compact digests of every function checked so
-    /// far, sorted (order carries no meaning; sorting makes equal sets
-    /// byte-identical on disk).
-    pub seen: Vec<KeyDigest>,
 }
 
 impl Default for CampaignCheckpoint {
     fn default() -> CampaignCheckpoint {
         CampaignCheckpoint {
+            config: String::new(),
             cursor: Vec::new(),
             counter: 0,
             done: false,
@@ -109,79 +96,39 @@ impl Default for CampaignCheckpoint {
             changed: 0,
             refined: 0,
             inconclusive: 0,
-            dedup_skips: 0,
-            seen_peak: 0,
             violations: Vec::new(),
-            seen: Vec::new(),
-        }
-    }
-}
-
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
 
 impl CampaignCheckpoint {
-    /// Renders the checkpoint as JSONL (header, violations, seen
-    /// digests).
+    /// Renders the checkpoint as JSONL: the header, then one line per
+    /// violation.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(128 + self.seen.len() * 48);
-        let _ = write!(out, "{{\"kind\":\"checkpoint\",\"version\":2,\"cursor\":[");
-        for (i, ix) in self.cursor.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{ix}");
-        }
-        let _ = writeln!(
-            out,
-            "],\"counter\":\"{}\",\"done\":{},\"shards\":{},\"shard_id\":{},\"total\":{},\
-             \"changed\":{},\"refined\":{},\"inconclusive\":{},\"dedup_skips\":{},\
-             \"seen_peak\":{},\"violations\":{},\"seen\":{}}}",
-            self.counter,
-            self.done,
-            self.shards,
-            self.shard_id,
-            self.total,
-            self.changed,
-            self.refined,
-            self.inconclusive,
-            self.dedup_skips,
-            self.seen_peak,
-            self.violations.len(),
-            self.seen.len(),
-        );
+        let mut out = String::new();
+        Writer::new(&mut out)
+            .field("kind", "checkpoint")
+            .field("version", VERSION)
+            .field("config", &self.config)
+            .array("cursor", &self.cursor)
+            .field("counter", self.counter.to_string())
+            .field("done", self.done)
+            .field("shards", self.shards)
+            .field("shard_id", self.shard_id)
+            .field("total", self.total)
+            .field("changed", self.changed)
+            .field("refined", self.refined)
+            .field("inconclusive", self.inconclusive)
+            .field("violations", self.violations.len())
+            .finish();
         for v in &self.violations {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"violation\",\"index\":{},\"before\":\"",
-                v.index
-            );
-            escape_json(&mut out, &v.before);
-            out.push_str("\",\"after\":\"");
-            escape_json(&mut out, &v.after);
-            out.push_str("\",\"counterexample\":\"");
-            escape_json(&mut out, &v.counterexample);
-            out.push_str("\"}\n");
-        }
-        for d in &self.seen {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"seen\",\"digest\":[\"{}\",\"{}\"]}}",
-                d.hash, d.verify
-            );
+            Writer::new(&mut out)
+                .field("kind", "violation")
+                .field("index", v.index)
+                .field("before", &v.before)
+                .field("after", &v.after)
+                .field("counterexample", &v.counterexample)
+                .finish();
         }
         out
     }
@@ -192,114 +139,69 @@ impl CampaignCheckpoint {
     ///
     /// Returns a message naming the first offending line and why it is
     /// malformed: bad JSON, a missing or mistyped key, an unknown
-    /// `kind`, or body line counts that disagree with the header.
+    /// `kind` or version, or a violation count that disagrees with the
+    /// header.
     pub fn from_jsonl(text: &str) -> Result<CampaignCheckpoint, String> {
-        let mut cp = CampaignCheckpoint::default();
-        let (mut want_violations, mut want_seen) = (0usize, 0usize);
-        let mut saw_header = false;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let n = lineno + 1;
-            let mut p = Parser::new(line);
-            let obj = p.object().map_err(|e| format!("line {n}: {e}"))?;
-            p.skip_ws();
-            if !p.at_end() {
-                return Err(format!("line {n}: trailing garbage"));
-            }
-            let kind = obj.get_str("kind", n)?;
-            match kind.as_str() {
+        // The header's checkpoint and the violation count it promises.
+        let mut header: Option<(CampaignCheckpoint, usize)> = None;
+        for obj in json::parse_lines(text) {
+            let obj = obj?;
+            match obj.str("kind")? {
                 "checkpoint" => {
-                    if saw_header {
-                        return Err(format!("line {n}: duplicate header"));
+                    if header.is_some() {
+                        return Err(obj.error("duplicate header"));
                     }
-                    saw_header = true;
-                    let version = obj.get_u64("version", n)?;
-                    if !(1..=2).contains(&version) {
-                        return Err(format!("line {n}: unsupported version {version}"));
+                    let version = obj.u64("version")?;
+                    if version != VERSION {
+                        return Err(obj.error(format!(
+                            "unsupported checkpoint version {version} (this build reads \
+                             version {VERSION}; rerun the sweep)"
+                        )));
                     }
-                    cp.cursor = obj
-                        .get_array("cursor", n)?
-                        .iter()
-                        .map(|v| v.as_u64(n).map(|w| w as usize))
-                        .collect::<Result<_, _>>()?;
-                    cp.counter = obj.get_u64("counter", n)?;
-                    cp.done = obj.get_bool("done", n)?;
-                    if version >= 2 {
-                        cp.shards = obj.get_u64("shards", n)? as usize;
-                        cp.shard_id = obj.get_u64("shard_id", n)? as usize;
-                        cp.seen_peak = obj.get_u64("seen_peak", n)? as usize;
-                        if cp.shards == 0 || cp.shard_id >= cp.shards {
-                            return Err(format!(
-                                "line {n}: shard {}/{} out of range",
-                                cp.shard_id, cp.shards
-                            ));
-                        }
+                    let cp = CampaignCheckpoint {
+                        config: obj.str("config")?.to_string(),
+                        cursor: obj
+                            .array("cursor")?
+                            .iter()
+                            .map(|v| v.as_u64().map(|ix| ix as usize))
+                            .collect::<Option<_>>()
+                            .ok_or_else(|| obj.error("cursor entries must be u64s"))?,
+                        counter: obj.u64("counter")?,
+                        done: obj.bool("done")?,
+                        shards: obj.u64("shards")? as usize,
+                        shard_id: obj.u64("shard_id")? as usize,
+                        total: obj.u64("total")? as usize,
+                        changed: obj.u64("changed")? as usize,
+                        refined: obj.u64("refined")? as usize,
+                        inconclusive: obj.u64("inconclusive")? as usize,
+                        violations: Vec::new(),
+                    };
+                    if cp.shards == 0 || cp.shard_id >= cp.shards {
+                        return Err(
+                            obj.error(format!("shard {}/{} out of range", cp.shard_id, cp.shards))
+                        );
                     }
-                    cp.total = obj.get_u64("total", n)? as usize;
-                    cp.changed = obj.get_u64("changed", n)? as usize;
-                    cp.refined = obj.get_u64("refined", n)? as usize;
-                    cp.inconclusive = obj.get_u64("inconclusive", n)? as usize;
-                    cp.dedup_skips = obj.get_u64("dedup_skips", n)? as usize;
-                    want_violations = obj.get_u64("violations", n)? as usize;
-                    want_seen = obj.get_u64("seen", n)? as usize;
+                    header = Some((cp, obj.u64("violations")? as usize));
                 }
                 "violation" => {
-                    if !saw_header {
-                        return Err(format!("line {n}: violation before header"));
-                    }
+                    let Some((cp, _)) = &mut header else {
+                        return Err(obj.error("violation before header"));
+                    };
                     cp.violations.push(Violation {
-                        index: obj.get_u64("index", n)? as usize,
-                        before: obj.get_str("before", n)?,
-                        after: obj.get_str("after", n)?,
-                        counterexample: obj.get_str("counterexample", n)?,
+                        index: obj.u64("index")? as usize,
+                        before: obj.str("before")?.to_string(),
+                        after: obj.str("after")?.to_string(),
+                        counterexample: obj.str("counterexample")?.to_string(),
                     });
                 }
-                "seen" => {
-                    if !saw_header {
-                        return Err(format!("line {n}: seen key before header"));
-                    }
-                    if obj.get("digest").is_some() {
-                        let halves = obj
-                            .get_array("digest", n)?
-                            .iter()
-                            .map(|v| v.as_u64(n))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                        let [hash, verify] = halves[..] else {
-                            return Err(format!(
-                                "line {n}: digest needs exactly 2 halves, got {}",
-                                halves.len()
-                            ));
-                        };
-                        cp.seen.push(KeyDigest { hash, verify });
-                    } else {
-                        // Version-1 artifacts carry raw fingerprint
-                        // words; re-digest them on the way in.
-                        let words = obj
-                            .get_array("words", n)?
-                            .iter()
-                            .map(|v| v.as_u64(n))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                        cp.seen.push(FunctionKey::from_words(words).digest());
-                    }
-                }
-                other => return Err(format!("line {n}: unknown kind '{other}'")),
+                other => return Err(obj.error(format!("unknown kind '{other}'"))),
             }
         }
-        if !saw_header {
-            return Err("missing checkpoint header".into());
-        }
-        if cp.violations.len() != want_violations {
+        let (cp, want) = header.ok_or("missing checkpoint header")?;
+        if cp.violations.len() != want {
             return Err(format!(
-                "header promises {want_violations} violations, found {}",
+                "header promises {want} violations, found {}",
                 cp.violations.len()
-            ));
-        }
-        if cp.seen.len() != want_seen {
-            return Err(format!(
-                "header promises {want_seen} seen keys, found {}",
-                cp.seen.len()
             ));
         }
         Ok(cp)
@@ -331,30 +233,65 @@ impl CampaignCheckpoint {
         CampaignCheckpoint::from_jsonl(&text).map_err(io::Error::other)
     }
 
+    /// Rebuilds the generator of a sweep of `cfg` at this checkpoint's
+    /// cursor, for the process shard `(shard_id, shards)`.
+    ///
+    /// # Errors
+    ///
+    /// Names the mismatch when the checkpoint belongs to another
+    /// sweep: it was written for a different `cfg` or shard, or its
+    /// cursor does not fit `cfg`'s space.
+    pub fn resume(
+        &self,
+        cfg: &GenConfig,
+        (shard_id, shards): (usize, usize),
+    ) -> Result<ExhaustiveFunctions, String> {
+        let config = format!("{cfg:?}");
+        if self.config != config {
+            return Err(format!(
+                "checkpoint was written for config {}, not {config}",
+                self.config
+            ));
+        }
+        if (self.shard_id, self.shards) != (shard_id, shards) {
+            return Err(format!(
+                "checkpoint belongs to shard {}/{}, not {shard_id}/{shards}",
+                self.shard_id, self.shards
+            ));
+        }
+        ExhaustiveFunctions::resume(cfg.clone(), &self.cursor, self.counter, self.done)
+            .map_err(|e| format!("checkpoint cursor does not fit its config: {e}"))
+    }
+
     /// Merges the per-shard checkpoints of a `K`-process campaign into
     /// one whole-space summary: tallies sum, violations concatenate
-    /// and re-sort by corpus index, the dedup sets union, and
-    /// `seen_peak` sums (shards run concurrently, so the campaign's
-    /// aggregate memory bound is the sum of per-process peaks). The
-    /// result is marked `shards: 1, shard_id: 0` and is `done` only
-    /// when every shard is — a finished merge is byte-identical to the
-    /// checkpoint of a single-process sweep of the same space.
+    /// and re-sort by corpus index, and the cursor comes from the
+    /// furthest-advanced part. The result is marked `shards: 1,
+    /// shard_id: 0` and is `done` only when every shard is — a finished
+    /// merge is byte-identical to the checkpoint of a single-process
+    /// sweep of the same space.
     ///
     /// The order of `parts` does not matter.
     ///
     /// # Errors
     ///
     /// Returns a message when `parts` is not a complete, consistent
-    /// shard set: empty input, disagreeing `shards` values, a part
-    /// whose `shards` does not match the part count, or shard ids that
-    /// are not exactly `{0, …, K-1}`.
+    /// shard set: empty input, parts of different configs, disagreeing
+    /// `shards` values, a part whose `shards` does not match the part
+    /// count, or shard ids that are not exactly `{0, …, K-1}`.
     pub fn merge(parts: &[CampaignCheckpoint]) -> Result<CampaignCheckpoint, String> {
         let k = parts.len();
-        if k == 0 {
+        let Some(first) = parts.first() else {
             return Err("cannot merge zero checkpoints".into());
-        }
+        };
         let mut present = vec![false; k];
         for p in parts {
+            if p.config != first.config {
+                return Err(format!(
+                    "checkpoints of different configs cannot merge: {} and {}",
+                    first.config, p.config
+                ));
+            }
             if p.shards != k {
                 return Err(format!(
                     "checkpoint for shard {}/{} merged with {k} part(s)",
@@ -376,6 +313,7 @@ impl CampaignCheckpoint {
             .max_by_key(|p| p.counter)
             .expect("parts is non-empty");
         let mut merged = CampaignCheckpoint {
+            config: first.config.clone(),
             cursor: furthest.cursor.clone(),
             counter: furthest.counter,
             done: parts.iter().all(|p| p.done),
@@ -386,290 +324,52 @@ impl CampaignCheckpoint {
             merged.changed += p.changed;
             merged.refined += p.refined;
             merged.inconclusive += p.inconclusive;
-            merged.dedup_skips += p.dedup_skips;
-            merged.seen_peak += p.seen_peak;
             merged.violations.extend(p.violations.iter().cloned());
-            merged.seen.extend(p.seen.iter().copied());
         }
         merged.violations.sort_by_key(|v| v.index);
-        merged.seen.sort_unstable();
-        merged.seen.dedup();
         Ok(merged)
-    }
-}
-
-/// One parsed value from a checkpoint line. `u64`s are carried as
-/// decimal strings on the wire (JSON numbers are doubles), so
-/// [`JsonValue::as_u64`] accepts both forms.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Array(Vec<JsonValue>),
-}
-
-impl JsonValue {
-    fn as_u64(&self, lineno: usize) -> Result<u64, String> {
-        match self {
-            JsonValue::Str(s) => s
-                .parse::<u64>()
-                .map_err(|_| format!("line {lineno}: '{s}' is not a u64")),
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Ok(*n as u64)
-            }
-            other => Err(format!("line {lineno}: {other:?} is not a u64")),
-        }
-    }
-}
-
-/// The parsed object of one line, with per-key typed accessors that
-/// blame the line on failure.
-struct LineObject(Vec<(String, JsonValue)>);
-
-impl LineObject {
-    fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn get_str(&self, key: &str, lineno: usize) -> Result<String, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("line {lineno}: missing string key '{key}'")),
-        }
-    }
-
-    fn get_u64(&self, key: &str, lineno: usize) -> Result<u64, String> {
-        self.get(key)
-            .ok_or(format!("line {lineno}: missing key '{key}'"))?
-            .as_u64(lineno)
-    }
-
-    fn get_bool(&self, key: &str, lineno: usize) -> Result<bool, String> {
-        match self.get(key) {
-            Some(JsonValue::Bool(b)) => Ok(*b),
-            _ => Err(format!("line {lineno}: missing bool key '{key}'")),
-        }
-    }
-
-    fn get_array(&self, key: &str, lineno: usize) -> Result<&[JsonValue], String> {
-        match self.get(key) {
-            Some(JsonValue::Array(a)) => Ok(a),
-            _ => Err(format!("line {lineno}: missing array key '{key}'")),
-        }
-    }
-}
-
-/// Byte-level JSON-line parser (same pattern as the telemetry artifact
-/// validator): just enough JSON for the schema above, with byte-offset
-/// error messages.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|_| format!("bad number '{text}'"))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(out));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<LineObject, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(LineObject(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(LineObject(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b >= 0xf0 => 4,
-        b if b >= 0xe0 => 3,
-        _ => 2,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frost_rng::SmallRng;
+    use frost_telemetry::{FieldValue, TraceEvent, TraceEventKind};
+
+    fn sample_cfg() -> GenConfig {
+        GenConfig::arithmetic(3)
+    }
 
     fn sample() -> CampaignCheckpoint {
-        let key = FunctionKey::from_words(vec![3, u64::MAX, 0x1234_5678_9abc_def0]);
+        let mut walk = ExhaustiveFunctions::new(sample_cfg());
+        walk.nth(99);
+        let (cursor, _, done) = walk.cursor();
         CampaignCheckpoint {
-            cursor: vec![12, 0, 345],
+            config: format!("{:?}", sample_cfg()),
+            cursor,
             counter: u64::MAX - 7,
-            done: false,
+            done,
             shards: 4,
             shard_id: 2,
             total: 99,
             changed: 40,
-            refined: 97,
+            refined: 96,
             inconclusive: 1,
-            dedup_skips: 5,
-            seen_peak: 2,
-            violations: vec![Violation {
-                index: 41,
-                before: "define i2 @fz41() {\n  \"quoted\" \\ tab\t\n}".into(),
-                after: "define i2 @fz41() {}".into(),
-                counterexample: "args (0, poison): src ret 1, tgt UB".into(),
-            }],
-            seen: vec![key.digest(), FunctionKey::from_words(vec![]).digest()],
+            violations: vec![
+                Violation {
+                    index: 41,
+                    before: "define i2 @fz41() {\n  \"quoted\" \\ tab\t\n}".into(),
+                    after: "define i2 @fz41() {}".into(),
+                    counterexample: "args (0, poison): src ret 1, tgt UB".into(),
+                },
+                Violation {
+                    index: 73,
+                    before: "define i2 @fz73(i2 %a) {\n  ret i2 %a\n}".into(),
+                    after: "define i2 @fz73(i2 %a) {\n  ret i2 0\n}".into(),
+                    counterexample: "args (1, 0): src ret 1, tgt ret 0 — ünïcode".into(),
+                },
+            ],
         }
     }
 
@@ -679,29 +379,10 @@ mod tests {
         let text = cp.to_jsonl();
         let back = CampaignCheckpoint::from_jsonl(&text).expect("round trip validates");
         assert_eq!(back, cp);
-        // u64 digest halves survive even above 2^53 (carried as
-        // strings).
-        assert_eq!(
-            back.seen[0],
-            FunctionKey::from_words(vec![3, u64::MAX, 0x1234_5678_9abc_def0]).digest()
-        );
+        // A u64 counter survives even above 2^53 (carried as a string).
         assert_eq!(back.counter, u64::MAX - 7);
         assert_eq!((back.shards, back.shard_id), (4, 2));
-    }
-
-    #[test]
-    fn version_1_artifacts_still_load() {
-        // A pre-sharding checkpoint: no shard fields, no seen_peak,
-        // and `seen` lines carrying raw fingerprint words.
-        let key = FunctionKey::from_words(vec![7, 9]);
-        let text = "{\"kind\":\"checkpoint\",\"version\":1,\"cursor\":[1,2],\"counter\":\"3\",\
-                    \"done\":false,\"total\":2,\"changed\":1,\"refined\":2,\"inconclusive\":0,\
-                    \"dedup_skips\":0,\"violations\":0,\"seen\":1}\n\
-                    {\"kind\":\"seen\",\"words\":[\"7\",\"9\"]}\n";
-        let cp = CampaignCheckpoint::from_jsonl(text).expect("v1 loads");
-        assert_eq!((cp.shards, cp.shard_id, cp.seen_peak), (1, 0, 0));
-        assert_eq!(cp.seen, vec![key.digest()]);
-        assert_eq!(cp.total, 2);
+        assert!(text.contains("\"done\":false"), "scripts grep for this");
     }
 
     #[test]
@@ -722,41 +403,148 @@ mod tests {
             CampaignCheckpoint::from_jsonl("not json\n").is_err(),
             "bad line"
         );
+        let body = "{\"kind\":\"violation\",\"index\":1,\"before\":\"\",\"after\":\"\",\
+                    \"counterexample\":\"\"}\n";
         assert!(
-            CampaignCheckpoint::from_jsonl("{\"kind\":\"seen\",\"words\":[]}\n").is_err(),
+            CampaignCheckpoint::from_jsonl(body).is_err(),
             "body before header"
         );
         let mut text = sample().to_jsonl();
-        text.push_str("{\"kind\":\"seen\",\"words\":[\"1\"]}\n");
+        text.push_str(body);
         assert!(
             CampaignCheckpoint::from_jsonl(&text)
                 .unwrap_err()
-                .contains("seen keys"),
+                .contains("violations"),
             "count mismatch is caught"
         );
         let trailing = sample()
             .to_jsonl()
             .replace("\"done\":false", "\"done\":false} x");
-        assert!(CampaignCheckpoint::from_jsonl(&trailing).is_err());
+        assert!(CampaignCheckpoint::from_jsonl(&trailing)
+            .unwrap_err()
+            .starts_with("line 1: "));
+        let deep = sample().to_jsonl().replace(
+            "\"cursor\":[",
+            &format!("\"cursor\":{}", "[".repeat(200_000)),
+        );
+        assert!(CampaignCheckpoint::from_jsonl(&deep).is_err(), "nesting");
     }
 
     #[test]
     fn unknown_kinds_and_versions_are_rejected() {
-        let base = sample();
-        let future = base.to_jsonl().replace("\"version\":2", "\"version\":9");
-        assert!(CampaignCheckpoint::from_jsonl(&future)
-            .unwrap_err()
-            .contains("version"));
-        let mut text = base.to_jsonl();
+        let base = sample().to_jsonl();
+        for version in [1, 2, 9] {
+            let other = base.replace("\"version\":3", &format!("\"version\":{version}"));
+            assert!(CampaignCheckpoint::from_jsonl(&other)
+                .unwrap_err()
+                .contains("version"));
+        }
+        let mut text = base;
         text.push_str("{\"kind\":\"mystery\"}\n");
         assert!(CampaignCheckpoint::from_jsonl(&text)
             .unwrap_err()
             .contains("unknown kind"));
     }
 
+    fn refusal(cp: &CampaignCheckpoint, cfg: &GenConfig, shard: (usize, usize)) -> String {
+        cp.resume(cfg, shard).err().expect("resume must refuse")
+    }
+
+    #[test]
+    fn resume_refuses_another_config() {
+        let cp = sample();
+        assert!(cp.resume(&sample_cfg(), (2, 4)).is_ok());
+        for other in [
+            GenConfig::arithmetic(2),
+            GenConfig::guards(3),
+            sample_cfg().with_pruning(crate::Pruning::FULL),
+        ] {
+            let err = refusal(&cp, &other, (2, 4));
+            assert!(err.contains("config"), "{err}");
+        }
+    }
+
+    #[test]
+    fn resume_refuses_another_shard() {
+        let cp = sample();
+        for shard in [(0, 1), (1, 4), (2, 3)] {
+            let err = refusal(&cp, &sample_cfg(), shard);
+            assert!(err.contains("shard 2/4"), "{err}");
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_cursor_outside_the_space() {
+        for cursor in [vec![0, 0], vec![0, 0, usize::MAX]] {
+            let cp = CampaignCheckpoint { cursor, ..sample() };
+            let err = refusal(&cp, &sample_cfg(), (2, 4));
+            assert!(err.contains("cursor"), "{err}");
+        }
+    }
+
+    #[test]
+    fn mutated_artifacts_are_errors_not_panics() {
+        let checkpoint = sample().to_jsonl();
+        let event = |kind, span, ts_ns, dur_ns, fields| TraceEvent {
+            kind,
+            span,
+            name: "fuzz.campaign.shard",
+            tid: 1,
+            ts_ns,
+            dur_ns,
+            fields,
+        };
+        let trace = frost_telemetry::render_jsonl(&[
+            event(TraceEventKind::Start, 1, 5, None, vec![]),
+            event(
+                TraceEventKind::Stop,
+                1,
+                9,
+                Some(4),
+                vec![
+                    ("pass", FieldValue::Str("inst\"combine\n".into())),
+                    ("ratio", FieldValue::F64(0.5)),
+                ],
+            ),
+            event(
+                TraceEventKind::Point,
+                0,
+                12,
+                None,
+                vec![("cycles", FieldValue::U64(99))],
+            ),
+        ]);
+        let artifacts = [checkpoint.as_bytes(), trace.as_bytes()];
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut outcomes = [0usize; 2];
+        for _ in 0..4000 {
+            let mut bytes = artifacts[rng.gen_range(0..2)].to_vec();
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_range(0..3) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= rng.gen_range(1..256) as u8,
+                _ => {
+                    let other = artifacts[rng.gen_range(0..2)];
+                    bytes.truncate(at);
+                    bytes.extend_from_slice(&other[rng.gen_range(0..other.len())..]);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let cp = CampaignCheckpoint::from_jsonl(&text)
+                .and_then(|cp| cp.resume(&sample_cfg(), (cp.shard_id, cp.shards)));
+            let trace = frost_telemetry::validate_jsonl(&text);
+            outcomes[usize::from(cp.is_ok())] += 1;
+            outcomes[usize::from(trace.is_ok())] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "mutants must reach both verdicts: {outcomes:?} (Err, Ok)"
+        );
+    }
+
     fn shard_part(shards: usize, shard_id: usize) -> CampaignCheckpoint {
-        let d = |w: u64| FunctionKey::from_words(vec![w]).digest();
         CampaignCheckpoint {
+            config: "cfg".into(),
             cursor: vec![shard_id],
             counter: 10 + shard_id as u64,
             done: true,
@@ -766,15 +554,12 @@ mod tests {
             changed: 2,
             refined: 4,
             inconclusive: 1,
-            dedup_skips: shard_id,
-            seen_peak: 5,
             violations: vec![Violation {
                 index: 100 - shard_id,
                 before: String::new(),
                 after: String::new(),
                 counterexample: String::new(),
             }],
-            seen: vec![d(shard_id as u64), d(99)],
         }
     }
 
@@ -783,17 +568,14 @@ mod tests {
         let parts = [shard_part(2, 1), shard_part(2, 0)];
         let m = CampaignCheckpoint::merge(&parts).expect("complete shard set");
         assert_eq!((m.shards, m.shard_id), (1, 0));
+        assert_eq!(m.config, "cfg");
         assert!(m.done);
         assert_eq!(m.total, 10);
         assert_eq!(m.changed, 4);
-        assert_eq!(m.dedup_skips, 1);
-        assert_eq!(m.seen_peak, 10, "peaks sum across concurrent shards");
-        // Violations re-sorted by corpus index regardless of part
-        // order.
+        // The violation union is re-sorted by corpus index regardless
+        // of part order.
         let idx: Vec<usize> = m.violations.iter().map(|v| v.index).collect();
         assert_eq!(idx, vec![99, 100]);
-        // The shared digest `d(99)` appears once in the union.
-        assert_eq!(m.seen.len(), 3);
         // Cursor comes from the furthest-advanced shard.
         assert_eq!(m.counter, 11);
         assert_eq!(m.cursor, vec![1]);
@@ -816,6 +598,16 @@ mod tests {
         assert!(
             CampaignCheckpoint::merge(&[shard_part(2, 0), shard_part(3, 1)]).is_err(),
             "disagreeing shard counts"
+        );
+        let foreign = CampaignCheckpoint {
+            config: "another space".into(),
+            ..shard_part(2, 1)
+        };
+        assert!(
+            CampaignCheckpoint::merge(&[shard_part(2, 0), foreign])
+                .unwrap_err()
+                .contains("config"),
+            "parts of different configs"
         );
         let unfinished = CampaignCheckpoint {
             done: false,

@@ -18,8 +18,8 @@ use frost_rng::{splitmix64, SmallRng};
 /// shapes the enumerator skips *before* a function is ever built,
 /// instead of checking them and deduplicating afterwards.
 ///
-/// Pruning shrinks the space beyond what [`frost_ir::FunctionKey`]
-/// dedup removes: a pruned-out function is not α-equivalent to its
+/// Pruning shrinks the space beyond [`frost_ir::FunctionKey`]
+/// equality: a pruned-out function is not α-equivalent to its
 /// canonical representative, only equivalent *modulo* operand
 /// commutativity or dead-code elimination. The full 2-instruction CI
 /// sweep therefore stays unpruned; pruning is the opt-in lever that

@@ -84,62 +84,6 @@ impl FunctionKey {
     pub fn words(&self) -> usize {
         self.data.len()
     }
-
-    /// The canonical encoding as a word slice, for serializing the key
-    /// (campaign checkpoints persist their dedup sets this way).
-    pub fn as_words(&self) -> &[u64] {
-        &self.data
-    }
-
-    /// Rebuilds a key from a word sequence produced by
-    /// [`FunctionKey::as_words`]; the hash is recomputed, so a
-    /// round-tripped key equals (and hashes like) the original.
-    pub fn from_words(words: Vec<u64>) -> FunctionKey {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &w in &words {
-            hash = mix(hash ^ w);
-        }
-        FunctionKey {
-            hash,
-            data: words.into_boxed_slice(),
-        }
-    }
-
-    /// The compact 128-bit digest of this key: the precomputed 64-bit
-    /// probe hash plus an independently-seeded 64-bit verifier word.
-    /// Dedup sets that would otherwise hold millions of full encodings
-    /// (tens of words each) store [`KeyDigest`]s instead — 16 bytes per
-    /// function — and rely on the verifier half to reject probe-hash
-    /// collisions; see [`KeyDigest`] for the guarantee.
-    pub fn digest(&self) -> KeyDigest {
-        let mut verify = 0x9e37_79b9_7f4a_7c15u64;
-        for &w in self.data.iter() {
-            verify = mix(verify.rotate_left(23) ^ w);
-        }
-        KeyDigest {
-            hash: self.hash,
-            verify,
-        }
-    }
-}
-
-/// A fixed-size stand-in for a [`FunctionKey`] in large dedup sets.
-///
-/// `hash` is the key's precomputed 64-bit probe hash (the same value
-/// [`Hash`] writes), `verify` a second 64-bit mix of the encoding under
-/// an independent seed and word schedule. Two α-distinct functions
-/// collide only if both mixes collide simultaneously — for a corpus of
-/// `n` functions the expected number of false merges is about
-/// `n² / 2¹²⁹`, far below one for any campaign that fits on hardware.
-/// Unlike the full key, a digest cannot be decoded back into a body;
-/// it exists purely so multi-hundred-million-function sweeps can keep
-/// their dedup set (and its checkpoint serialization) bounded.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct KeyDigest {
-    /// The key's precomputed probe hash.
-    pub hash: u64,
-    /// The independently-seeded verifier mix.
-    pub verify: u64,
 }
 
 impl Hash for FunctionKey {

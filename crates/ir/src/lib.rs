@@ -70,7 +70,7 @@ pub use analysis::manager::{
     LoopInfoAnalysis, ModuleAnalysisManager, PreservedAnalyses, UseCountsAnalysis,
 };
 pub use builder::FunctionBuilder;
-pub use fingerprint::{FunctionKey, KeyDigest};
+pub use fingerprint::FunctionKey;
 pub use function::{Block, DeclAttrs, FuncDecl, Function, Module, Param, UseCounts};
 pub use inst::{
     Arity, BinOp, CastKind, Cond, Descriptor, Flags, Inst, Opcode, ResultKind, Terminator, UbClass,

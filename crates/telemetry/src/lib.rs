@@ -2,7 +2,7 @@
 //!
 //! The observability layer of the frost workspace: one zero-dependency
 //! crate through which every component reports cost. It has three
-//! pieces, each usable alone:
+//! pieces, each usable alone, plus the JSON format they share:
 //!
 //! * **[`trace`]** — a structured-event tracing facade: RAII spans
 //!   named `crate.component.action` with start/stop timestamps, thread
@@ -19,6 +19,9 @@
 //!   events, an env-var-directed [`flush_env`] (`FROST_TRACE_FILE`),
 //!   and [`validate_jsonl`], which checks a `telemetry.jsonl` artifact
 //!   against the schema and aggregates per-span totals.
+//! * **[`json`]** — the flat-object JSON Lines writer and reader behind
+//!   every artifact the workspace writes: trace events, benchmark
+//!   records and campaign checkpoints.
 //!
 //! The full telemetry contract — event schema, naming conventions,
 //! env vars, overhead budget — is documented in `docs/OBSERVABILITY.md`
@@ -54,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod counters;
+pub mod json;
 pub mod sink;
 pub mod trace;
 

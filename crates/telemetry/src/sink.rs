@@ -12,8 +12,9 @@
 //! * `tid` — small integer thread id;
 //! * `ts_ns` — nanoseconds since the process trace epoch.
 //!
-//! Stop events additionally carry `dur_ns`. User fields are flattened
-//! into the same object and must avoid the reserved keys. See
+//! Stop events, and only stop events, carry `dur_ns`. User fields are
+//! flattened into the same object and must avoid the reserved keys.
+//! Lines are written and read through [`crate::json`]. See
 //! `docs/OBSERVABILITY.md` for the full contract.
 //!
 //! Benchmark records are the one non-event shape the validator
@@ -26,69 +27,26 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use crate::trace::{drain, enabled, FieldValue, TraceEvent, TraceFormat};
-
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn field_json(out: &mut String, v: &FieldValue) {
-    match v {
-        FieldValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::F64(n) if n.is_finite() => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::F64(_) => out.push_str("null"),
-        FieldValue::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        FieldValue::Str(s) => {
-            out.push('"');
-            escape_json(out, s);
-            out.push('"');
-        }
-    }
-}
+use crate::json::{self, Value, Writer};
+use crate::trace::{drain, enabled, TraceEvent, TraceFormat};
 
 /// Renders events as JSONL, one event per line.
 pub fn render_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for ev in events {
-        let _ = write!(
-            out,
-            "{{\"ev\":\"{}\",\"span\":{},\"name\":\"",
-            ev.kind.as_str(),
-            ev.span
-        );
-        escape_json(&mut out, ev.name);
-        let _ = write!(out, "\",\"tid\":{},\"ts_ns\":{}", ev.tid, ev.ts_ns);
+        let mut w = Writer::new(&mut out);
+        w.field("ev", ev.kind.as_str())
+            .field("span", ev.span)
+            .field("name", ev.name)
+            .field("tid", ev.tid)
+            .field("ts_ns", ev.ts_ns);
         if let Some(d) = ev.dur_ns {
-            let _ = write!(out, ",\"dur_ns\":{d}");
+            w.field("dur_ns", d);
         }
         for (k, v) in &ev.fields {
-            out.push_str(",\"");
-            escape_json(&mut out, k);
-            out.push_str("\":");
-            field_json(&mut out, v);
+            w.field(k, v);
         }
-        out.push_str("}\n");
+        w.finish();
     }
     out
 }
@@ -200,176 +158,10 @@ pub struct JsonlStats {
     pub by_key: BTreeMap<String, SpanStats>,
 }
 
-/// One parsed scalar from a JSONL line.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|_| format!("bad number '{text}'"))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, JsonValue>, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-        Ok(map)
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b >= 0xf0 => 4,
-        b if b >= 0xe0 => 3,
-        _ => 2,
-    }
-}
-
 /// Parses and validates a `telemetry.jsonl` artifact against the event
 /// schema: every non-empty line must be a flat JSON object carrying the
-/// reserved keys (`ev`/`span`/`name`/`tid`/`ts_ns`, `dur_ns` on stops),
-/// and every stop must pair with a start. Lines carrying
+/// reserved keys (`ev`/`span`/`name`/`tid`/`ts_ns`, and `dur_ns` on
+/// stops only), and every stop must pair with a start. Lines carrying
 /// `"kind":"bench"` are benchmark records instead: they need only a
 /// string `experiment` key and are tallied in [`JsonlStats::bench`].
 /// Returns aggregate [`JsonlStats`] on success.
@@ -391,69 +183,47 @@ fn utf8_len(first: u8) -> usize {
 pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
     let mut stats = JsonlStats::default();
     let mut open_spans: BTreeMap<u64, String> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut p = Parser::new(line);
-        let obj = p
-            .object()
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("line {}: trailing garbage", lineno + 1));
-        }
-        let get_str = |k: &str| -> Result<String, String> {
-            match obj.get(k) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("line {}: missing string key '{k}'", lineno + 1)),
-            }
-        };
-        let get_num = |k: &str| -> Result<f64, String> {
-            match obj.get(k) {
-                Some(JsonValue::Num(n)) => Ok(*n),
-                _ => Err(format!("line {}: missing numeric key '{k}'", lineno + 1)),
-            }
-        };
-        if let Some(JsonValue::Str(kind)) = obj.get("kind") {
+    for obj in json::parse_lines(text) {
+        let obj = obj?;
+        stats.lines += 1;
+        if let Some(Value::Str(kind)) = obj.get("kind") {
             if kind != "bench" {
-                return Err(format!("line {}: unknown kind '{kind}'", lineno + 1));
+                return Err(obj.error(format!("unknown kind '{kind}'")));
             }
-            get_str("experiment")?;
-            stats.lines += 1;
+            obj.str("experiment")?;
             stats.bench += 1;
             continue;
         }
-        let ev = get_str("ev")?;
-        let name = get_str("name")?;
-        let span = get_num("span")? as u64;
-        get_num("tid")?;
-        get_num("ts_ns")?;
-        stats.lines += 1;
-        match ev.as_str() {
+        let ev = obj.str("ev")?;
+        let name = obj.str("name")?;
+        let span = obj.num("span")? as u64;
+        obj.num("tid")?;
+        obj.num("ts_ns")?;
+        match ev {
+            "start" | "point" if obj.get("dur_ns").is_some() => {
+                return Err(obj.error(format!("'dur_ns' on a {ev} event")));
+            }
             "start" => {
                 stats.starts += 1;
-                open_spans.insert(span, name);
+                open_spans.insert(span, name.to_string());
             }
             "stop" => {
                 stats.stops += 1;
-                let dur = get_num("dur_ns")? as u64;
+                let dur = obj.num("dur_ns")? as u64;
                 if open_spans.remove(&span).is_none() {
                     stats.unmatched += 1;
                 }
                 let key = match obj.get("pass") {
-                    Some(JsonValue::Str(p)) => format!("{name}[{p}]"),
-                    _ => name,
+                    Some(Value::Str(p)) => format!("{name}[{p}]"),
+                    _ => name.to_string(),
                 };
                 let agg = stats.by_key.entry(key).or_default();
                 agg.count += 1;
-                agg.total_ns += dur;
+                agg.total_ns = agg.total_ns.saturating_add(dur);
                 agg.max_ns = agg.max_ns.max(dur);
             }
             "point" => stats.points += 1,
-            other => {
-                return Err(format!("line {}: unknown ev '{other}'", lineno + 1));
-            }
+            other => return Err(obj.error(format!("unknown ev '{other}'"))),
         }
     }
     stats.unmatched += open_spans.len();
@@ -463,7 +233,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEventKind;
+    use crate::trace::{FieldValue, TraceEventKind};
 
     fn ev(
         kind: TraceEventKind,
@@ -498,6 +268,9 @@ mod tests {
                     ("pass", FieldValue::Str("inst\"combine".into())),
                     ("changed", FieldValue::Bool(true)),
                     ("insts_before", FieldValue::U64(12)),
+                    ("ratio", FieldValue::F64(0.25)),
+                    ("delta", FieldValue::I64(-4)),
+                    ("inf", FieldValue::F64(f64::INFINITY)),
                 ],
             ),
             ev(
@@ -510,6 +283,16 @@ mod tests {
             ),
         ];
         let text = render_jsonl(&events);
+        assert_eq!(
+            text,
+            "{\"ev\":\"start\",\"span\":1,\"name\":\"opt.pass.run\",\"tid\":1,\"ts_ns\":10}\n\
+             {\"ev\":\"stop\",\"span\":1,\"name\":\"opt.pass.run\",\"tid\":1,\"ts_ns\":30,\
+             \"dur_ns\":20,\"pass\":\"inst\\\"combine\",\"changed\":true,\"insts_before\":12,\
+             \"ratio\":0.25,\"delta\":-4,\"inf\":null}\n\
+             {\"ev\":\"point\",\"span\":0,\"name\":\"backend.sim.block\",\"tid\":1,\"ts_ns\":40,\
+             \"cycles\":99}\n",
+            "the trace bytes are part of the telemetry contract"
+        );
         let stats = validate_jsonl(&text).expect("round trip validates");
         assert_eq!(stats.lines, 3);
         assert_eq!(stats.starts, 1);
@@ -535,6 +318,17 @@ mod tests {
             .is_err(),
             "trailing garbage"
         );
+        // `dur_ns` belongs on stop events and only there.
+        for line in [
+            "{\"ev\":\"start\",\"span\":1,\"name\":\"x\",\"tid\":1,\"ts_ns\":0,\"dur_ns\":3}\n",
+            "{\"ev\":\"point\",\"span\":0,\"name\":\"x\",\"tid\":1,\"ts_ns\":0,\"dur_ns\":3}\n",
+            "{\"ev\":\"stop\",\"span\":1,\"name\":\"x\",\"tid\":1,\"ts_ns\":0}\n",
+        ] {
+            assert!(
+                validate_jsonl(line).unwrap_err().contains("dur_ns"),
+                "{line}"
+            );
+        }
     }
 
     #[test]

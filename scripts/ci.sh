@@ -74,7 +74,7 @@ grep -q "violations=0" sweep-ci.out || {
     exit 1
 }
 grep "^sweep:" sweep-ci.out > sweep-summary.out
-echo "sweep: checked=2661792 changed=2512612 refined=2661792 violations=0 inconclusive=0 complete=true dedup_skips=0 seen_peak=0" \
+echo "sweep: checked=2661792 changed=2512612 refined=2661792 violations=0 inconclusive=0 complete=true" \
     > sweep-expected.out
 cmp sweep-summary.out sweep-expected.out || {
     echo "ci: full 2-inst sweep summary diverges from EXPERIMENTS.md" >&2
@@ -107,7 +107,7 @@ grep -q "violations=0" sweep-mem-ci.out || {
     exit 1
 }
 grep "^sweep:" sweep-mem-ci.out > sweep-mem-summary.out
-echo "sweep: checked=32903 changed=25885 refined=32903 violations=0 inconclusive=0 complete=true dedup_skips=0 seen_peak=0" \
+echo "sweep: checked=32903 changed=25885 refined=32903 violations=0 inconclusive=0 complete=true" \
     > sweep-mem-expected.out
 cmp sweep-mem-summary.out sweep-mem-expected.out || {
     echo "ci: 4-inst memory sweep summary diverges from EXPERIMENTS.md" >&2
@@ -140,7 +140,7 @@ grep -q "violations=0" sweep-guard-ci.out || {
     exit 1
 }
 grep "^sweep:" sweep-guard-ci.out > sweep-guard-summary.out
-echo "sweep: checked=58880 changed=43733 refined=58880 violations=0 inconclusive=0 complete=true dedup_skips=0 seen_peak=0" \
+echo "sweep: checked=58880 changed=43733 refined=58880 violations=0 inconclusive=0 complete=true" \
     > sweep-guard-expected.out
 cmp sweep-guard-summary.out sweep-guard-expected.out || {
     echo "ci: 2-inst guarded sweep summary diverges from EXPERIMENTS.md" >&2
@@ -256,6 +256,18 @@ cmp sweep-resumed.out sweep-oneshot.out || {
     diff sweep-resumed.out sweep-oneshot.out >&2 || true
     exit 1
 }
-rm -f sweep-ci.jsonl sweep-ci.out sweep-resume.jsonl sweep-resumed.out sweep-oneshot.out
+# A checkpoint of another space is refused with an error (exit 1, the
+# reason on stderr), not a panic and not a silently mixed tally.
+status=0
+cargo run -q --release -p frost-bench --bin repro -- \
+    --experiment sweep --insts 2 --checkpoint sweep-resume.jsonl \
+    >/dev/null 2>sweep-mismatch.err || status=$?
+if [ "$status" -ne 1 ] || ! grep -q checkpoint sweep-mismatch.err; then
+    echo "ci: resuming a 1-inst checkpoint as a 2-inst sweep must exit 1 naming the checkpoint (exit $status)" >&2
+    cat sweep-mismatch.err >&2
+    exit 1
+fi
+rm -f sweep-ci.jsonl sweep-ci.out sweep-resume.jsonl sweep-resumed.out sweep-oneshot.out \
+    sweep-mismatch.err
 
 echo "ci: all green"
