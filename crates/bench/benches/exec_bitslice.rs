@@ -114,7 +114,8 @@ fn main() {
         // The two engines must agree byte-for-byte before their
         // throughput is worth comparing.
         let slice = BitslicePlan::compile(&plan, idx, &tuples, limits).expect("eligible");
-        let sliced = slice.evaluate(&mem);
+        let snapshot = mem.snapshot();
+        let sliced = slice.evaluate().sets(&snapshot);
         let looped: Vec<OutcomeSet> = tuples
             .iter()
             .map(|args| {
@@ -146,7 +147,8 @@ fn main() {
         });
         let eval_t = r.bench(&format!("bitslice_eval_{label}"), || {
             slice
-                .evaluate(&mem)
+                .evaluate()
+                .sets(&snapshot)
                 .iter()
                 .map(OutcomeSet::len)
                 .sum::<usize>()

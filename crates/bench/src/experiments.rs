@@ -600,9 +600,10 @@ fn sweep_summary(cp: &CampaignCheckpoint) -> String {
 /// One `{"kind":"bench","experiment":"sweep",...}` JSONL line: the
 /// machine-readable benchmark record `--bench-json` writes, accepted
 /// by `frost_telemetry::validate_jsonl`. `space` rides as a decimal
-/// string (the 3-instruction space overflows a double); throughput
-/// and wall-clock are this run's, tallies are cumulative. `domain`
-/// distinguishes the `arith` (§6), `mem` (§5), and `guard` sweeps.
+/// string (the 3-instruction space overflows a double); throughput,
+/// wall-clock and `peak_rss_mb` are this run's, tallies are cumulative.
+/// `domain` distinguishes the `arith` (§6), `mem` (§5), and `guard`
+/// sweeps.
 #[allow(clippy::too_many_arguments)]
 fn sweep_bench_json(
     num_insts: usize,
@@ -619,7 +620,8 @@ fn sweep_bench_json(
     let tuples = delta.counter("frost.core.bitslice.tuples_per_pass");
     let round = |x: f64, places: i32| (x * 10f64.powi(places)).round() / 10f64.powi(places);
     let mut out = String::new();
-    Writer::new(&mut out)
+    let mut record = Writer::new(&mut out);
+    record
         .field("kind", "bench")
         .field("experiment", "sweep")
         .field("domain", domain)
@@ -635,7 +637,11 @@ fn sweep_bench_json(
         .field("inconclusive", cp.inconclusive)
         .field("complete", cp.done)
         .field("wall_secs", round(stats.wall.as_secs_f64(), 3))
-        .field("fns_per_sec", round(stats.functions_per_sec, 1))
+        .field("fns_per_sec", round(stats.functions_per_sec, 1));
+    if let Some(mb) = peak_rss_mb() {
+        record.field("peak_rss_mb", round(mb, 1));
+    }
+    record
         .field("cache_hits", stats.cache_hits)
         .field("cache_misses", stats.cache_misses)
         .field(
@@ -657,6 +663,15 @@ fn sweep_bench_json(
         )
         .finish();
     out
+}
+
+/// This process's peak resident set size in MB, read from `VmHWM` in
+/// `/proc/self/status`; `None` where that is unreadable.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// E6 / §3: the inconsistency matrix — each transformation checked

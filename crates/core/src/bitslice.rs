@@ -40,12 +40,11 @@ use frost_ir::{BinOp, CastKind, Cond, Flags, Ty};
 
 use crate::exec::{ExecError, Limits};
 use crate::fasthash::FastHashMap;
-use crate::mem::Memory;
 use crate::ops::{eval_binop, eval_cast, eval_icmp, ScalarResult};
 use crate::outcome::{Outcome, OutcomeSet};
 use crate::plan::{FnPlan, ModulePlan, Opnd, Step};
 use crate::sem::PoisonAction;
-use crate::val::Val;
+use crate::val::{Bit, Val};
 
 /// Widest integer the backend slices: `1 << MAX_BITS` value planes.
 const MAX_BITS: u32 = 3;
@@ -65,6 +64,141 @@ const CODE_UNDEF: u32 = 9;
 const CODE_UB: u32 = 10;
 const CODE_RET_VOID: u32 = 11;
 const NCODES: usize = 12;
+
+/// One outcome class a lane can reach. A lane's [`OutcomeSet`] holds
+/// one [`Outcome`] per code it reaches.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Code {
+    /// Immediate UB.
+    Ub,
+    /// `ret void`.
+    RetVoid,
+    /// Returns the defined integer `v` at the batch's return width.
+    Val(u8),
+    /// Returns poison.
+    Poison,
+    /// Returns undef.
+    Undef,
+}
+
+impl Code {
+    /// Index of this code's lane mask.
+    fn index(self) -> usize {
+        match self {
+            Code::Val(v) => usize::from(v),
+            Code::Poison => CODE_POISON as usize,
+            Code::Undef => CODE_UNDEF as usize,
+            Code::Ub => CODE_UB as usize,
+            Code::RetVoid => CODE_RET_VOID as usize,
+        }
+    }
+}
+
+/// What one [`BitslicePlan::evaluate`] pass found: for each outcome
+/// [`Code`], the mask of lanes (bit `l` is input tuple `l`) in which
+/// some choice script reaches it. Twelve words stand for one
+/// [`OutcomeSet`] per tuple; the refinement checker compares two of
+/// them with word operations and materializes only a violating lane.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Lanes {
+    seen: [u64; NCODES],
+    lanes: usize,
+    ret_bits: u32,
+}
+
+impl Lanes {
+    /// `lanes` lanes that reach nothing yet, returning `ret_bits`-wide
+    /// integers (0 for `void`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds 64.
+    pub fn new(lanes: usize, ret_bits: u32) -> Lanes {
+        assert!(lanes <= 64, "{lanes} lanes do not fit one word");
+        Lanes {
+            seen: [0; NCODES],
+            lanes,
+            ret_bits,
+        }
+    }
+
+    /// Records that lane `lane` can reach `code`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or `code` is a value of more
+    /// than three bits.
+    pub fn insert(&mut self, lane: usize, code: Code) {
+        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
+        self.seen[code.index()] |= 1 << lane;
+    }
+
+    /// The lanes that can reach `code`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` is a value of more than three bits.
+    pub fn mask(&self, code: Code) -> u64 {
+        self.seen[code.index()]
+    }
+
+    /// Number of lanes (input tuples).
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Width of the returned integers: 0 for `void`, and for a return
+    /// of a poison constant, which has no width of its own.
+    pub fn ret_bits(&self) -> u32 {
+        self.ret_bits
+    }
+
+    /// Lane `lane` as the [`OutcomeSet`] the plan engine enumerates for
+    /// its tuple, with `mem` as every return's final memory snapshot.
+    pub fn outcomes(&self, lane: usize, mem: &[Bit]) -> OutcomeSet {
+        // Gather this lane's bit from each code mask.
+        let mut s = 0u16;
+        for (c, mask) in self.seen.iter().enumerate() {
+            s |= ((mask >> lane & 1) as u16) << c;
+        }
+        let reaches = |code: Code| s >> code.index() & 1 == 1;
+        // Emitted in ascending `Outcome` order (`Ub < Ret`,
+        // `None < Some`, `Int < Poison < Undef`) with exact capacity, so
+        // no sorting or insertion shifting.
+        let mut outcomes = Vec::with_capacity(s.count_ones() as usize);
+        if reaches(Code::Ub) {
+            outcomes.push(Outcome::Ub);
+        }
+        let mut ret = |val: Option<Val>| {
+            outcomes.push(Outcome::Ret {
+                val,
+                mem: mem.to_vec(),
+                trace: Vec::new(),
+            });
+        };
+        if reaches(Code::RetVoid) {
+            ret(None);
+        }
+        for v in 0..NVALS as u8 {
+            if reaches(Code::Val(v)) {
+                ret(Some(Val::int(self.ret_bits, u128::from(v))));
+            }
+        }
+        if reaches(Code::Poison) {
+            ret(Some(Val::Poison));
+        }
+        if reaches(Code::Undef) {
+            ret(Some(Val::Undef(Ty::Int(self.ret_bits))));
+        }
+        OutcomeSet::from_sorted(outcomes)
+    }
+
+    /// Every lane's [`OutcomeSet`], in tuple order, under one final
+    /// memory snapshot.
+    pub fn sets(&self, mem: &[Bit]) -> Vec<OutcomeSet> {
+        (0..self.lanes).map(|l| self.outcomes(l, mem)).collect()
+    }
+}
 
 /// One SSA value across every lane: one-hot value-indicator planes plus
 /// a poison plane and an undef plane. Invariant: for each live lane
@@ -608,9 +742,10 @@ impl BitslicePlan {
         self.vars.iter().product::<u64>().max(1)
     }
 
-    /// Evaluates every lane under every choice script and returns one
-    /// [`OutcomeSet`] per input tuple, in input order — byte-identical
-    /// to running [`ModulePlan::enumerate`] on each tuple.
+    /// Evaluates every lane under every choice script and returns the
+    /// outcome codes each lane can reach, as lane masks. Materializing
+    /// lane `i` ([`Lanes::outcomes`]) is byte-identical to running
+    /// [`ModulePlan::enumerate`] on tuple `i`.
     ///
     /// The odometer over the joint choice domain bumps the *last*
     /// variable fastest, and the register file is checkpointed just
@@ -618,9 +753,10 @@ impl BitslicePlan {
     /// earlier variables — so the common step re-executes just the ops
     /// after the final choice site instead of the whole program.
     ///
-    /// `mem` is the initial memory; eligible programs never touch it,
-    /// so it only flows into the returned `Ret` outcomes' snapshots.
-    pub fn evaluate(&self, mem: &Memory) -> Vec<OutcomeSet> {
+    /// Eligible programs never touch memory, so one evaluation serves
+    /// every initial memory: a memory reaches the outcomes only as the
+    /// final snapshot [`Lanes::outcomes`] is given.
+    pub fn evaluate(&self) -> Lanes {
         let ctrs = bitslice_counters();
         ctrs.tuples_per_pass.add(self.lanes as u64);
 
@@ -679,7 +815,14 @@ impl BitslicePlan {
             ctrs.plane_ops.add(executed);
             seen
         });
-        self.build(&seen, mem)
+        Lanes {
+            seen,
+            lanes: self.lanes,
+            ret_bits: match &self.ret {
+                RetSpec::Void => 0,
+                RetSpec::Reg(r) => self.reg_bits[*r as usize],
+            },
+        }
     }
 
     /// Executes `ops[start..]` under the current choice script, taking
@@ -853,54 +996,6 @@ impl BitslicePlan {
             }
         }
         seen[CODE_UB as usize] |= ub;
-    }
-
-    /// Transposes the per-code lane masks into concrete
-    /// [`OutcomeSet`]s, one per lane.
-    fn build(&self, seen: &[u64; NCODES], mem: &Memory) -> Vec<OutcomeSet> {
-        let mem_snap = mem.snapshot();
-        let ret_bits = match &self.ret {
-            RetSpec::Void => 0,
-            RetSpec::Reg(r) => self.reg_bits[*r as usize],
-        };
-        (0..self.lanes)
-            .map(|l| {
-                // Gather this lane's bit from each code mask.
-                let mut s = 0u16;
-                for (c, mask) in seen.iter().enumerate() {
-                    s |= ((mask >> l & 1) as u16) << c;
-                }
-                // Emitted in ascending `Outcome` order (`Ub < Ret`,
-                // `None < Some`, `Int < Poison < Undef`) with exact
-                // capacity, so no sorting or insertion shifting.
-                let mut outcomes = Vec::with_capacity(s.count_ones() as usize);
-                if s >> CODE_UB & 1 == 1 {
-                    outcomes.push(Outcome::Ub);
-                }
-                let mut ret = |val: Option<Val>| {
-                    outcomes.push(Outcome::Ret {
-                        val,
-                        mem: mem_snap.clone(),
-                        trace: Vec::new(),
-                    });
-                };
-                if s >> CODE_RET_VOID & 1 == 1 {
-                    ret(None);
-                }
-                for v in 0..NVALS as u32 {
-                    if s >> v & 1 == 1 {
-                        ret(Some(Val::int(ret_bits, u128::from(v))));
-                    }
-                }
-                if s >> CODE_POISON & 1 == 1 {
-                    ret(Some(Val::Poison));
-                }
-                if s >> CODE_UNDEF & 1 == 1 {
-                    ret(Some(Val::Undef(Ty::Int(ret_bits))));
-                }
-                OutcomeSet::from_sorted(outcomes)
-            })
-            .collect()
     }
 }
 
@@ -1137,6 +1232,7 @@ fn lower_step(lo: &mut Lowerer, step: &Step) -> Result<(), ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::Memory;
     use crate::plan::Machine;
     use crate::sem::Semantics;
     use frost_ir::parse_module;
@@ -1165,7 +1261,7 @@ mod tests {
         let mem = Memory::zeroed(0);
         let bp = BitslicePlan::compile(&plan, idx, tuples, Limits::default())
             .expect("eligible for bit-slicing");
-        let sliced = bp.evaluate(&mem);
+        let sliced = bp.evaluate().sets(&mem.snapshot());
         let mut machine = Machine::new();
         for (args, got) in tuples.iter().zip(&sliced) {
             let want = plan

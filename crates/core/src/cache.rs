@@ -7,11 +7,13 @@
 //! transform leaves the target textually identical to the source, and
 //! aggressive pipelines fold thousands of distinct inputs to the same
 //! handful of canonical forms (`ret 0`, `ret %a`, …). [`OutcomeCache`]
-//! memoizes the *entire outcome vector* of a function under a given
-//! semantics — every input tuple under every candidate initial memory,
-//! memory-major, in one entry — so each distinct (function shape,
-//! semantics) combination is enumerated exactly once per campaign, with
-//! one probe per check side.
+//! memoizes the *whole [`Batch`]* of a function under a given
+//! semantics — every input tuple under every candidate initial memory
+//! in one entry — so each distinct (function shape, semantics)
+//! combination is enumerated exactly once per campaign, with one probe
+//! per check side. A bit-sliced entry is its lane masks (twelve words
+//! plus one final-memory snapshot per memory), not one outcome set per
+//! tuple.
 //!
 //! ## Cache key
 //!
@@ -56,7 +58,7 @@ use std::sync::{Arc, Mutex};
 
 use frost_ir::{FunctionKey, Module};
 
-use crate::engine::{enumerate_function_mems, Engine};
+use crate::engine::{enumerate_function_mems, Batch, Engine};
 use crate::exec::{ExecError, Limits};
 use crate::fasthash::FastHashMap;
 use crate::mem::Memory;
@@ -65,12 +67,12 @@ use crate::plan::is_self_contained;
 use crate::sem::Semantics;
 use crate::val::Val;
 
-/// The memoized result of enumerating one function on a fixed input
-/// list: one entry per input tuple, each either the outcome set or the
+/// The result of enumerating one function on a fixed input list, per
+/// tuple: one entry per input tuple, each either the outcome set or the
 /// enumeration failure on that input. Keeping failures *per input*
-/// (rather than aborting the vector) lets a cached refinement check
-/// reproduce the sequential checker's verdict exactly — including
-/// which input it reports as inconclusive.
+/// (rather than aborting the vector) lets a refinement check reproduce
+/// the sequential checker's verdict exactly — including which input it
+/// reports as inconclusive.
 pub type EnumeratedOutcomes = Vec<Result<OutcomeSet, ExecError>>;
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -86,7 +88,7 @@ struct CacheKey {
 /// enumeration. See the [module docs](self) for the key structure.
 #[derive(Default)]
 pub struct OutcomeCache {
-    map: Mutex<FastHashMap<CacheKey, Arc<EnumeratedOutcomes>>>,
+    map: Mutex<FastHashMap<CacheKey, Arc<Batch>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -121,7 +123,8 @@ impl OutcomeCache {
     }
 
     /// The one-memory case of [`OutcomeCache::enumerate_keyed_mems`],
-    /// whose docs cover `salt`, `store` and `fkey`.
+    /// whose docs cover `salt`, `store` and `fkey`, materialized per
+    /// tuple ([`Batch::into_pairs`]).
     // Every parameter is a distinct cache-key component; bundling them
     // into a struct would just move the field list one call up.
     #[allow(clippy::too_many_arguments)]
@@ -138,7 +141,7 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
-        self.enumerate_keyed_mems(
+        let batch = self.enumerate_keyed_mems(
             fkey,
             module,
             name,
@@ -149,13 +152,13 @@ impl OutcomeCache {
             engine,
             salt,
             store,
-        )
+        );
+        Arc::new(Arc::unwrap_or_clone(batch).into_pairs())
     }
 
     /// Memoized [`enumerate_function_mems`]: every (memory, input) pair
-    /// of `name` under one probe and one entry, memory-major (entry
-    /// `mi * inputs.len() + i` holds memory `mi`, tuple `i`). A miss
-    /// compiles the function once for the whole batch.
+    /// of `name` under one probe and one entry, the stored [`Batch`]
+    /// itself. A miss compiles the function once for the whole batch.
     ///
     /// `salt` must fingerprint everything that shapes `inputs` and
     /// `mems` beyond the key. The memory list need not be part of it
@@ -192,7 +195,7 @@ impl OutcomeCache {
         engine: Engine,
         salt: u64,
         store: bool,
-    ) -> Arc<EnumeratedOutcomes> {
+    ) -> Arc<Batch> {
         let enumerate = || enumerate_function_mems(module, name, inputs, mems, sem, limits, engine);
         if !module.function(name).is_some_and(is_self_contained) {
             return Arc::new(enumerate());
@@ -317,7 +320,27 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         let again = probe(&cache, &m, "g", &inputs(), sem, 0);
         assert_eq!(cache.hits(), 1);
-        assert!(Arc::ptr_eq(&cached, &again));
+        assert_eq!(cached, again);
+        // A hit hands out the stored batch itself, not a copy.
+        let key = FunctionKey::of(m.function("g").unwrap());
+        let stored = |engine| {
+            cache.enumerate_keyed_mems(
+                &key,
+                &m,
+                "g",
+                &inputs(),
+                &[Memory::zeroed(0)],
+                sem,
+                Limits::default(),
+                engine,
+                0,
+                true,
+            )
+        };
+        for engine in [Engine::Plan, Engine::Auto] {
+            assert!(Arc::ptr_eq(&stored(engine), &stored(engine)), "{engine:?}");
+        }
+        assert_eq!(stored(Engine::Auto).pairs().as_ref(), fresh.as_slice());
     }
 
     #[test]

@@ -63,9 +63,9 @@ pub mod plan;
 pub mod sem;
 pub mod val;
 
-pub use bitslice::BitslicePlan;
+pub use bitslice::{BitslicePlan, Code, Lanes};
 pub use cache::{EnumeratedOutcomes, OutcomeCache};
-pub use engine::{enumerate_function, enumerate_function_mems, Engine};
+pub use engine::{enumerate_function, enumerate_function_mems, Batch, Engine};
 pub use error::FrostError;
 pub use exec::{enumerate_outcomes, run_concrete, uninit_fill, ExecError, Limits, RunResult};
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};

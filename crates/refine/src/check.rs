@@ -4,25 +4,26 @@
 //! Every check is metered through `frost-telemetry` (see
 //! docs/OBSERVABILITY.md): the counters `frost.refine.checks`,
 //! `.refines`, `.counterexamples`, and `.inconclusive` tally checks by
-//! verdict, and — when tracing is enabled — each check runs inside a
-//! `refine.check.run` span carrying whether it went through the cache
-//! and how it concluded.
+//! verdict, `frost.refine.compare.materialized` counts the comparisons
+//! that could not stay in lane masks, and — when tracing is enabled —
+//! each check runs inside a `refine.check.run` span carrying whether it
+//! went through the cache and how it concluded.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use frost_telemetry::Counter;
 
 use frost_core::{
-    enumerate_function, is_self_contained, uninit_fill, Bit, Engine, ExecError, Limits, Memory,
-    Outcome, OutcomeCache, OutcomeSet, Ptr, Semantics, Val,
+    enumerate_function_mems, is_self_contained, uninit_fill, Batch, Bit, Engine, Limits, Outcome,
+    OutcomeCache, OutcomeSet, Semantics, Val,
 };
 use frost_ir::{Function, FunctionKey, Module};
 
 use crate::inputs::{check_memories, enumerate_inputs_cached, CheckMemories, InputOptions};
-use crate::lattice::{set_refines, unjustified};
+use crate::lattice::{lanes_unjustified, mem_refines, set_refines, unjustified};
 
 /// Configuration of a refinement check.
 ///
@@ -137,6 +138,12 @@ pub struct CounterExample {
     pub tgt_outcomes: OutcomeSet,
     /// A target behavior no source behavior justifies.
     pub witness: Outcome,
+    /// The final memories, rendered byte by byte like
+    /// [`CounterExample::initial_mem`], when the witness's differs from
+    /// a returning source behavior's: `(source, target)`, the source's
+    /// distinct memories joined by ` | `. `None` when every memory
+    /// agrees, so value-only counterexamples print as before.
+    pub final_mems: Option<(String, String)>,
 }
 
 impl fmt::Display for CounterExample {
@@ -154,29 +161,32 @@ impl fmt::Display for CounterExample {
         }
         writeln!(f, "  source can: {}", self.src_outcomes)?;
         writeln!(f, "  target can: {}", self.tgt_outcomes)?;
-        write!(f, "  unjustified target behavior: {}", self.witness)
+        write!(f, "  unjustified target behavior: {}", self.witness)?;
+        if let Some((src, tgt)) = &self.final_mems {
+            write!(f, "\n  source final memory: {src}")?;
+            write!(f, "\n  target final memory: {tgt}")?;
+        }
+        Ok(())
     }
 }
 
-/// Renders the initial blocks of `mem` byte by byte, e.g.
-/// `b0 = [0x01 poison]`.
-fn render_initial_mem(mem: &Memory, block_sizes: &[u32]) -> String {
+/// Renders a snapshot of the initial blocks
+/// ([`frost_core::Memory::snapshot`]) byte
+/// by byte, e.g. `b0 = [0x01 poison]`.
+fn render_blocks(snapshot: &[Bit], block_sizes: &[u32]) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
+    let mut bytes = snapshot.chunks(8);
     for (bi, &size) in block_sizes.iter().enumerate() {
         if bi > 0 {
             s.push_str(", ");
         }
         let _ = write!(s, "b{bi} = [");
-        for off in 0..size {
+        for (off, bits) in bytes.by_ref().take(size as usize).enumerate() {
             if off > 0 {
                 s.push(' ');
             }
-            let block = bi as u32;
-            let bits = mem
-                .load_ptr(Ptr::Block { block, off }, 8)
-                .expect("initial-block byte is in bounds");
-            s.push_str(&render_byte(&bits));
+            s.push_str(&render_byte(bits));
         }
         s.push(']');
     }
@@ -250,12 +260,14 @@ fn signatures_match(a: &Function, b: &Function) -> bool {
         && a.params.iter().zip(&b.params).all(|(x, y)| x.ty == y.ty)
 }
 
-/// Process-wide per-verdict check tallies, resolved once.
+/// Process-wide per-verdict check tallies and the comparison-path
+/// count, resolved once.
 struct RefineCounters {
     checks: &'static Counter,
     refines: &'static Counter,
     counterexamples: &'static Counter,
     inconclusive: &'static Counter,
+    materialized: &'static Counter,
 }
 
 fn refine_counters() -> &'static RefineCounters {
@@ -265,6 +277,7 @@ fn refine_counters() -> &'static RefineCounters {
         refines: frost_telemetry::counter("frost.refine.refines"),
         counterexamples: frost_telemetry::counter("frost.refine.counterexamples"),
         inconclusive: frost_telemetry::counter("frost.refine.inconclusive"),
+        materialized: frost_telemetry::counter("frost.refine.compare.materialized"),
     })
 }
 
@@ -288,8 +301,22 @@ fn record_verdict(sp: &mut frost_telemetry::Span, result: &CheckResult) {
     sp.set("verdict", verdict);
 }
 
+/// Counts one check, runs it inside its `refine.check.run` span and
+/// tallies its verdict.
+fn metered(cached: bool, check: impl FnOnce() -> CheckResult) -> CheckResult {
+    refine_counters().checks.incr();
+    let mut sp = frost_telemetry::span("refine.check.run").field("cached", cached);
+    let result = check();
+    record_verdict(&mut sp, &result);
+    result
+}
+
 /// Checks that `tgt_fn` (in `tgt_module`) refines `src_fn` (in
 /// `src_module`) on every enumerable input.
+///
+/// This is [`check_refinement_cached`]'s check with each side
+/// enumerated afresh instead of probed, so it never touches an
+/// [`OutcomeCache`] or its counters.
 pub fn check_refinement(
     src_module: &Module,
     src_fn: &str,
@@ -297,54 +324,9 @@ pub fn check_refinement(
     tgt_fn: &str,
     opts: &CheckOptions,
 ) -> CheckResult {
-    refine_counters().checks.incr();
-    let mut sp = frost_telemetry::span("refine.check.run").field("cached", false);
-    let result = check_refinement_impl(src_module, src_fn, tgt_module, tgt_fn, opts);
-    record_verdict(&mut sp, &result);
-    result
-}
-
-fn check_refinement_impl(
-    src_module: &Module,
-    src_fn: &str,
-    tgt_module: &Module,
-    tgt_fn: &str,
-    opts: &CheckOptions,
-) -> CheckResult {
-    let (Some(sf), Some(tf)) = (src_module.function(src_fn), tgt_module.function(tgt_fn)) else {
-        return CheckResult::Inconclusive("function not found".to_string());
-    };
-    if !signatures_match(sf, tf) {
-        return CheckResult::Inconclusive("signature mismatch".to_string());
-    }
-    let Some(shared) = enumerate_inputs_cached(sf, &opts.inputs) else {
-        return CheckResult::Inconclusive("input space too large to enumerate".to_string());
-    };
-    let (tuples, block_sizes) = (&shared.0, shared.1.as_slice());
-    let Some(mems) = memories(block_sizes, opts) else {
-        return mem_space_too_large();
-    };
-
-    // Each side enumerates its whole input list in one batch per
-    // candidate initial memory through the selected engine (the batch
-    // is what lets the bit-sliced backend evaluate every tuple at
-    // once), stopping at the first memory that yields a verdict.
-    for (src_mem, tgt_mem) in mems.src().iter().zip(mems.tgt()) {
-        let run = |module, name, mem, sem| {
-            enumerate_function(module, name, tuples, mem, sem, opts.limits, opts.engine)
-        };
-        let src_all = run(src_module, src_fn, src_mem, opts.src_sem);
-        let tgt_all = run(tgt_module, tgt_fn, tgt_mem, opts.tgt_sem);
-        let verdict = compare(&src_all, &tgt_all, tuples, |_| {
-            opts.inputs
-                .memory_values
-                .then(|| render_initial_mem(src_mem, block_sizes))
-        });
-        if let Some(v) = verdict {
-            return v;
-        }
-    }
-    CheckResult::Refines
+    metered(false, || {
+        check_impl(src_module, src_fn, tgt_module, tgt_fn, opts, None)
+    })
 }
 
 /// [`check_refinement`], but with every outcome enumeration memoized in
@@ -354,10 +336,9 @@ fn check_refinement_impl(
 /// [`OutcomeCache`].
 ///
 /// The verdict is *identical* to the uncached checker's on every pair —
-/// including which input an inconclusive check blames — because the
-/// cache stores per-input results. The only difference is cost: a
-/// cached check enumerates the whole input list up front (cacheable)
-/// instead of stopping at the first violation.
+/// including which input an inconclusive check blames — because both
+/// run one check over the same batches; only where a batch comes from
+/// differs.
 pub fn check_refinement_cached(
     src_module: &Module,
     src_fn: &str,
@@ -392,22 +373,22 @@ pub fn check_refinement_cached_policy(
     cache: &OutcomeCache,
     policy: CheckPolicy,
 ) -> CheckResult {
-    refine_counters().checks.incr();
-    let mut sp = frost_telemetry::span("refine.check.run").field("cached", true);
-    let result =
-        check_refinement_cached_impl(src_module, src_fn, tgt_module, tgt_fn, opts, cache, policy);
-    record_verdict(&mut sp, &result);
-    result
+    metered(true, || {
+        let cache = Some((cache, policy));
+        check_impl(src_module, src_fn, tgt_module, tgt_fn, opts, cache)
+    })
 }
 
-fn check_refinement_cached_impl(
+/// The one check body: each side is one [`Batch`] over every (memory,
+/// tuple) pair — probed in `cache` when there is one, enumerated
+/// directly otherwise — and the two batches are compared.
+fn check_impl(
     src_module: &Module,
     src_fn: &str,
     tgt_module: &Module,
     tgt_fn: &str,
     opts: &CheckOptions,
-    cache: &OutcomeCache,
-    policy: CheckPolicy,
+    cache: Option<(&OutcomeCache, CheckPolicy)>,
 ) -> CheckResult {
     let (Some(sf), Some(tf)) = (src_module.function(src_fn), tgt_module.function(tgt_fn)) else {
         return CheckResult::Inconclusive("function not found".to_string());
@@ -424,10 +405,10 @@ fn check_refinement_cached_impl(
     };
     let src_key = FunctionKey::of(sf);
     let tgt_key = FunctionKey::of(tf);
-    // One probe per side covers every (memory, tuple) pair, memory-major.
     let salt = input_salt(&opts.inputs, block_sizes);
-    let probe = |key, module, name, mems, sem, store| {
-        cache.enumerate_keyed_mems(
+    let store_src = !cache.is_some_and(|(_, policy)| policy.transient_src);
+    let batch = |key, module, name, mems, sem, store| match cache {
+        Some((cache, _)) => cache.enumerate_keyed_mems(
             key,
             module,
             name,
@@ -438,7 +419,16 @@ fn check_refinement_cached_impl(
             opts.engine,
             salt,
             store,
-        )
+        ),
+        None => Arc::new(enumerate_function_mems(
+            module,
+            name,
+            tuples,
+            mems,
+            sem,
+            opts.limits,
+            opts.engine,
+        )),
     };
 
     // Identity fast path: α-equivalent bodies under one semantics — the
@@ -448,47 +438,51 @@ fn check_refinement_cached_impl(
     // justifies undef, defined values justify themselves), so the
     // per-input comparison can only say "refines" — all that remains is
     // the verdict the general loop would give a failed enumeration,
-    // blaming the source side first. One enumeration serves both sides;
-    // it is stored under the source's retention rule — an untouched
-    // pair *is* its own source, and a sweep that stored every unchanged
-    // function would grow the cache with the space after all. Equal keys
-    // mean equal behavior only when neither side calls into its module.
+    // blaming the source side first. A lane batch has no failures. One
+    // enumeration serves both sides; it is stored under the source's
+    // retention rule — an untouched pair *is* its own source, and a
+    // sweep that stored every unchanged function would grow the cache
+    // with the space after all. Equal keys mean equal behavior only
+    // when neither side calls into its module.
     if opts.src_sem == opts.tgt_sem
         && src_key == tgt_key
         && is_self_contained(sf)
         && is_self_contained(tf)
     {
-        let all = probe(
+        let all = batch(
             &tgt_key,
             tgt_module,
             tgt_fn,
             mems.tgt(),
             opts.tgt_sem,
-            !policy.transient_src,
+            store_src,
         );
+        let Batch::Pairs(all) = all.as_ref() else {
+            return CheckResult::Refines;
+        };
         let failed = all
             .iter()
             .enumerate()
             .find_map(|(j, r)| Some((j, r.as_ref().err()?)));
         return match failed {
-            Some((j, e)) => inconclusive(e.clone(), &tuples[j % tuples.len()], "source"),
+            Some((j, e)) => inconclusive(e, &tuples[j % tuples.len()], "source"),
             None => CheckResult::Refines,
         };
     }
 
-    let src_all = probe(
+    let src_all = batch(
         &src_key,
         src_module,
         src_fn,
         mems.src(),
         opts.src_sem,
-        !policy.transient_src,
+        store_src,
     );
-    let tgt_all = probe(&tgt_key, tgt_module, tgt_fn, mems.tgt(), opts.tgt_sem, true);
-    compare(&src_all, &tgt_all, tuples, |mi| {
+    let tgt_all = batch(&tgt_key, tgt_module, tgt_fn, mems.tgt(), opts.tgt_sem, true);
+    compare(&src_all, &tgt_all, tuples, block_sizes, |mi| {
         opts.inputs
             .memory_values
-            .then(|| render_initial_mem(&mems.src()[mi], block_sizes))
+            .then(|| render_blocks(&mems.src()[mi].snapshot(), block_sizes))
     })
     .unwrap_or(CheckResult::Refines)
 }
@@ -507,16 +501,53 @@ fn mem_space_too_large() -> CheckResult {
     CheckResult::Inconclusive("initial-memory space too large to enumerate".to_string())
 }
 
-/// The verdict of a memory-major batch of per-(memory, tuple) results,
-/// in the sequential checker's order — memories outermost, tuples
-/// inner — or `None` if every pair refines. `initial_mem(mi)` describes
-/// memory `mi`; it runs only for the violation returned.
+/// The verdict of two batches in the sequential checker's order —
+/// memories outermost, tuples inner — or `None` if every pair refines.
+/// `initial_mem(mi)` describes memory `mi`; it runs only for the
+/// violation returned.
+///
+/// Two lane batches over the same tuples whose return widths agree are
+/// compared in lane masks ([`lanes_unjustified`]): the lowest bad lane
+/// of the first memory that has one is the first violating tuple, and
+/// only that lane is materialized. Any other pair of batches is
+/// compared set by set, and counted under
+/// `frost.refine.compare.materialized`.
 fn compare(
-    src_all: &[Result<OutcomeSet, ExecError>],
-    tgt_all: &[Result<OutcomeSet, ExecError>],
+    src: &Batch,
+    tgt: &Batch,
     tuples: &[Vec<Val>],
+    block_sizes: &[u32],
     initial_mem: impl FnOnce(usize) -> Option<String>,
 ) -> Option<CheckResult> {
+    if let (
+        Batch::Lanes {
+            lanes: s,
+            mems: src_mems,
+        },
+        Batch::Lanes {
+            lanes: t,
+            mems: tgt_mems,
+        },
+    ) = (src, tgt)
+    {
+        // Width 0 is `void` or a returned poison constant: no value or
+        // undef code, the only ones whose meaning depends on the width.
+        let (sw, tw) = (s.ret_bits(), t.ret_bits());
+        if s.lanes() == t.lanes() && (sw == tw || sw == 0 || tw == 0) {
+            for (mi, (sm, tm)) in src_mems.iter().zip(tgt_mems).enumerate() {
+                let bad = lanes_unjustified(t, s, mem_refines(tm, sm));
+                if bad != 0 {
+                    let l = bad.trailing_zeros() as usize;
+                    let (src, tgt) = (s.outcomes(l, sm), t.outcomes(l, tm));
+                    let mem = initial_mem(mi);
+                    return Some(violation(&tuples[l], mem, src, tgt, block_sizes));
+                }
+            }
+            return None;
+        }
+    }
+    refine_counters().materialized.incr();
+    let (src_all, tgt_all) = (src.pairs(), tgt.pairs());
     let per_mem = src_all
         .chunks(tuples.len())
         .zip(tgt_all.chunks(tuples.len()));
@@ -524,18 +555,19 @@ fn compare(
         for ((args, src), tgt) in tuples.iter().zip(src_mem).zip(tgt_mem) {
             let src = match src {
                 Ok(s) => s,
-                Err(e) => return Some(inconclusive(e.clone(), args, "source")),
+                Err(e) => return Some(inconclusive(e, args, "source")),
             };
             if src.may_ub() {
                 continue; // source UB grants total freedom on this input
             }
             let tgt = match tgt {
                 Ok(s) => s,
-                Err(e) => return Some(inconclusive(e.clone(), args, "target")),
+                Err(e) => return Some(inconclusive(e, args, "target")),
             };
             if !set_refines(tgt, src) {
                 let mem = initial_mem(mi);
-                return Some(violation(args.clone(), mem, src.clone(), tgt.clone()));
+                let (src, tgt) = (src.clone(), tgt.clone());
+                return Some(violation(args, mem, src, tgt, block_sizes));
             }
         }
     }
@@ -554,25 +586,57 @@ fn input_salt(opts: &InputOptions, block_sizes: &[u32]) -> u64 {
 }
 
 fn violation(
-    args: Vec<Val>,
+    args: &[Val],
     initial_mem: Option<String>,
     src: OutcomeSet,
     tgt: OutcomeSet,
+    block_sizes: &[u32],
 ) -> CheckResult {
     let witness = unjustified(&tgt, &src)
         .first()
         .map(|o| (*o).clone())
         .expect("non-refining set has an unjustified outcome");
+    let final_mems = final_mems(&src, &witness, block_sizes);
     CheckResult::CounterExample(Box::new(CounterExample {
-        args,
+        args: args.to_vec(),
         initial_mem,
         src_outcomes: src,
         tgt_outcomes: tgt,
         witness,
+        final_mems,
     }))
 }
 
-fn inconclusive(e: ExecError, args: &[Val], which: &str) -> CheckResult {
+/// [`CounterExample::final_mems`]: both sides' final memories, when a
+/// returning source behavior's differs from the returning witness's.
+fn final_mems(
+    src: &OutcomeSet,
+    witness: &Outcome,
+    block_sizes: &[u32],
+) -> Option<(String, String)> {
+    let Outcome::Ret { mem: tgt_mem, .. } = witness else {
+        return None;
+    };
+    let mut src_mems: Vec<&[Bit]> = src
+        .iter()
+        .filter_map(|o| match o {
+            Outcome::Ret { mem, .. } => Some(mem.as_slice()),
+            Outcome::Ub => None,
+        })
+        .collect();
+    if src_mems.iter().all(|m| *m == tgt_mem.as_slice()) {
+        return None;
+    }
+    src_mems.sort_unstable();
+    src_mems.dedup();
+    let src_text: Vec<String> = src_mems
+        .iter()
+        .map(|m| render_blocks(m, block_sizes))
+        .collect();
+    Some((src_text.join(" | "), render_blocks(tgt_mem, block_sizes)))
+}
+
+fn inconclusive(e: &impl fmt::Display, args: &[Val], which: &str) -> CheckResult {
     let args: Vec<String> = args.iter().map(Val::to_string).collect();
     CheckResult::Inconclusive(format!(
         "{which} evaluation failed on ({}): {e}",

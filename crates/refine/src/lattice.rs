@@ -9,8 +9,11 @@
 //!   does **not** (poison is strictly stronger than undef, §3.4's
 //!   `select %c, %x, undef` bug is exactly a violation of this);
 //! * a defined value refines only itself.
+//!
+//! [`lanes_unjustified`] decides [`set_refines`] for every lane of two
+//! bit-sliced batches at once, with word operations on their lane masks.
 
-use frost_core::{Bit, Outcome, OutcomeSet, Val};
+use frost_core::{Bit, Code, Lanes, Outcome, OutcomeSet, Val};
 
 /// Returns `true` if value `tgt` refines value `src`.
 pub fn val_refines(tgt: &Val, src: &Val) -> bool {
@@ -104,6 +107,38 @@ pub fn set_refines(tgt: &OutcomeSet, src: &OutcomeSet) -> bool {
     }
     tgt.iter()
         .all(|t| src.iter().any(|s| outcome_refines(t, s)))
+}
+
+/// The lanes where `tgt` does not refine `src`: `!set_refines` of
+/// every lane's outcome sets at once, as a lane mask. `mems_refine`
+/// says whether the target's final memory refines the source's
+/// ([`mem_refines`]); lanes carry no call traces.
+///
+/// Both batches must cover the same tuples at the same return width
+/// ([`Lanes::ret_bits`]), unless one width is 0: a `void` or
+/// poison-constant return has no value or undef code, the only codes
+/// whose meaning depends on the width. The justification table, per
+/// target code:
+///
+/// * a source UB lane accepts anything;
+/// * target UB needs source UB;
+/// * `ret void` needs source `ret void`;
+/// * a value `v` needs source `v`, undef or poison;
+/// * undef needs source undef or poison;
+/// * poison needs source poison;
+/// * if the final memories do not refine, no `ret` is justified.
+pub fn lanes_unjustified(tgt: &Lanes, src: &Lanes, mems_refine: bool) -> u64 {
+    debug_assert_eq!(tgt.lanes(), src.lanes());
+    let ret = if mems_refine { u64::MAX } else { 0 };
+    let (poison, undef) = (src.mask(Code::Poison), src.mask(Code::Undef));
+    let mut bad = tgt.mask(Code::Ub)
+        | tgt.mask(Code::RetVoid) & !(src.mask(Code::RetVoid) & ret)
+        | tgt.mask(Code::Poison) & !(poison & ret)
+        | tgt.mask(Code::Undef) & !((undef | poison) & ret);
+    for v in 0..1u8 << tgt.ret_bits() {
+        bad |= tgt.mask(Code::Val(v)) & !((src.mask(Code::Val(v)) | undef | poison) & ret);
+    }
+    bad & !src.mask(Code::Ub)
 }
 
 /// The target outcomes not justified by any source outcome (empty iff
@@ -228,6 +263,57 @@ mod tests {
         assert!(!bit_refines(Bit::Poison, Bit::Undef));
         assert!(!bit_refines(Bit::Zero, Bit::One));
         assert!(bit_refines(Bit::Undef, Bit::Undef));
+    }
+
+    /// Every pair of single-lane code subsets of one signature — `void`,
+    /// i1 and i2 returns, each also against a returned poison constant
+    /// (width 0), under equal, refining and differing final memories —
+    /// gets the verdict [`set_refines`] gives their materialized sets.
+    #[test]
+    fn lane_verdict_equals_set_verdict() {
+        // Every nonempty subset of `codes`, as one lane of width `bits`.
+        let subsets = |bits: u32, codes: &[Code]| -> Vec<Lanes> {
+            (1u32..1 << codes.len())
+                .map(|pick| {
+                    let mut lanes = Lanes::new(1, bits);
+                    for (i, &code) in codes.iter().enumerate() {
+                        if pick >> i & 1 == 1 {
+                            lanes.insert(0, code);
+                        }
+                    }
+                    lanes
+                })
+                .collect()
+        };
+        let mems = [
+            (vec![Bit::Zero; 8], vec![Bit::Zero; 8]),
+            (vec![Bit::Zero; 8], vec![Bit::Poison; 8]),
+            (vec![Bit::One; 8], vec![Bit::Zero; 8]),
+        ];
+        let mut pairs = 0;
+        for bits in [0, 1, 2] {
+            let mut codes = vec![Code::Ub];
+            if bits == 0 {
+                codes.push(Code::RetVoid);
+            } else {
+                codes.extend((0..1u8 << bits).map(Code::Val));
+                codes.extend([Code::Poison, Code::Undef]);
+            }
+            let mut sides = subsets(bits, &codes);
+            sides.extend(subsets(0, &[Code::Ub, Code::Poison]));
+            for (tm, sm) in &mems {
+                for tgt in &sides {
+                    for src in &sides {
+                        let sets = (tgt.outcomes(0, tm), src.outcomes(0, sm));
+                        let want = !set_refines(&sets.0, &sets.1);
+                        let got = lanes_unjustified(tgt, src, mem_refines(tm, sm)) != 0;
+                        assert_eq!(got, want, "target {} source {}", sets.0, sets.1);
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(pairs, 3 * (6 * 6 + 34 * 34 + 130 * 130));
     }
 
     #[test]

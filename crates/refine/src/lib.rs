@@ -45,4 +45,6 @@ pub use check::{
 pub use inputs::{
     enumerate_inputs, enumerate_inputs_cached, enumerate_memories, InputOptions, SharedInputs,
 };
-pub use lattice::{bit_refines, mem_refines, outcome_refines, set_refines, val_refines};
+pub use lattice::{
+    bit_refines, lanes_unjustified, mem_refines, outcome_refines, set_refines, val_refines,
+};

@@ -205,7 +205,7 @@ echo "==> doc examples parse (README / IR_REFERENCE / DESIGN + examples/*.fir)"
 # checker, so the gate needs no extra tooling.
 cargo test -q --release -p frost-ir --test doc_examples
 
-echo "==> repro --input smoke (the 5.4 load-widening pair, a callee swap)"
+echo "==> repro --input smoke (5.4 load widening, callee swap, freeze removal, store swap)"
 # The sound vector widening and the intentionally-UNSOUND scalar one
 # must both run to a verdict (exit 0 — verdicts are results, not
 # errors) and land on the expected sides.
@@ -230,7 +230,34 @@ grep -q "@f -> @f.tgt: UNSOUND" input-ci.out || {
     echo "ci: swapping in the nsw helper no longer caught as unsound" >&2
     exit 1
 }
-rm -f input-ci.out
+# An i2 freeze removal, bit-sliced on both sides: the two sides are
+# compared in lane masks and only the violating lane becomes outcome
+# sets. Its four counterexample lines are pinned byte for byte.
+cargo run -q --release -p frost-bench --bin repro -- \
+    --input examples/freeze_removal.fir | tee input-ci.out
+grep -A3 "@f -> @f.tgt: UNSOUND" input-ci.out > input-ce.out || true
+cat > input-ce-expected.out <<'EOF'
+  @f -> @f.tgt: UNSOUND — args = (poison)
+        source can: {ret i2 0 | ret i2 1 | ret i2 2 | ret i2 3}
+        target can: {ret poison}
+        unjustified target behavior: ret poison
+EOF
+cmp input-ce.out input-ce-expected.out || {
+    echo "ci: freeze-removal counterexample text changed" >&2
+    diff input-ce.out input-ce-expected.out >&2 || true
+    exit 1
+}
+# Two sides that differ only in the byte they store: the returns agree,
+# so the counterexample must show both final memories.
+cargo run -q --release -p frost-bench --bin repro -- \
+    --input examples/store_mismatch.fir | tee input-ci.out
+grep -q "@f -> @f.tgt: UNSOUND" input-ci.out &&
+    grep -q "source final memory: b0 = \[0x00 " input-ci.out &&
+    grep -q "target final memory: b0 = \[0x01 " input-ci.out || {
+    echo "ci: a store-only difference must print UNSOUND with both final memories" >&2
+    exit 1
+}
+rm -f input-ci.out input-ce.out input-ce-expected.out
 
 echo "==> checkpoint kill/resume determinism smoke"
 # Interrupt a small sweep mid-flight with a tight budget, resume it

@@ -5,14 +5,22 @@
 //! division-by-zero UB, poison, and legacy undef — and checkpointed
 //! exhaustive campaigns must survive a kill/resume at any worker count.
 
-use frost::core::{enumerate_function, uninit_fill, Engine, Limits, Memory, Semantics};
+use std::collections::BTreeSet;
+
+use frost::core::{
+    enumerate_function, enumerate_function_mems, uninit_fill, Batch, Engine, Limits, Memory,
+    Outcome, OutcomeCache, Semantics, Val,
+};
 use frost::fuzz::{
     enumerate_functions, random_functions, Campaign, CampaignCheckpoint, GenConfig,
     ValidationReport,
 };
 use frost::ir::{Function, Module};
 use frost::opt::{o2_pipeline, PipelineMode};
-use frost::refine::{enumerate_inputs, CheckOptions, InputOptions};
+use frost::refine::{
+    check_refinement, check_refinement_cached, enumerate_inputs, CheckOptions, CheckResult,
+    InputOptions,
+};
 
 /// Checks one function three ways: the full §6 input space enumerated
 /// by every engine, all outcome sets (and errors) byte-identical. The
@@ -95,6 +103,94 @@ fn random_ub_triggering_functions_agree_three_ways() {
             assert_three_way(&f, sem);
         }
     }
+}
+
+/// The cached `Engine::Auto` checker compares two bit-sliced sides in
+/// lane masks; `check_refinement` on `Engine::Plan` compares per-tuple
+/// outcome sets. Over every ordered same-signature pair of a stride of
+/// the one-instruction space, under all four presets, both must give
+/// the same verdict and the same counterexample text, and the pairs
+/// must be unsound in every way a lane can be: target UB, poison,
+/// undef and a wrong value. One side returns a poison constant, which
+/// has no width of its own. One side is guarded, hence plan-only, so
+/// its pairs take the set-by-set fallback.
+#[test]
+fn lane_checker_matches_set_checker_on_function_pairs() {
+    let guarded = frost::ir::parse_module(
+        "define i2 @guarded(i2 %a, i2 %b) {\nentry:\n  %c = icmp ult i2 %a, 2\n  \
+         assume i1 %c\n  %r = add i2 %a, %b\n  ret i2 %r\n}\n\
+         define i2 @poison(i2 %a, i2 %b) {\nentry:\n  ret i2 poison\n}",
+    )
+    .unwrap();
+    let mut witnesses = BTreeSet::new();
+    for sem in [
+        Semantics::proposed(),
+        Semantics::legacy_gvn(),
+        Semantics::legacy_unswitch(),
+        Semantics::legacy_undef_overflow(),
+    ] {
+        let cfg = if sem.has_undef {
+            GenConfig::arithmetic(1).with_undef()
+        } else {
+            GenConfig::arithmetic(1)
+        };
+        let mut module = guarded.clone();
+        module
+            .functions
+            .extend(enumerate_functions(cfg).step_by(11).take(48));
+        let opts = CheckOptions::new(sem);
+        let (tuples, block_sizes) = enumerate_inputs(&module.functions[0], &opts.inputs).unwrap();
+        let mems = [Memory::with_initial_blocks(&block_sizes, uninit_fill(&sem))];
+        for f in &module.functions {
+            let batch = enumerate_function_mems(
+                &module,
+                &f.name,
+                &tuples,
+                &mems,
+                sem,
+                opts.limits,
+                Engine::Auto,
+            );
+            assert_eq!(
+                matches!(batch, Batch::Lanes { .. }),
+                f.name != "guarded",
+                "only the guarded side leaves lanes:\n{f}"
+            );
+        }
+        let cache = OutcomeCache::new();
+        for src in &module.functions {
+            for tgt in &module.functions {
+                let (s, t) = (src.name.as_str(), tgt.name.as_str());
+                if src.ret_ty != tgt.ret_ty || src.params.len() != tgt.params.len() {
+                    continue;
+                }
+                let lanes = check_refinement_cached(&module, s, &module, t, &opts, &cache);
+                let sets = check_refinement(&module, s, &module, t, &opts.engine(Engine::Plan));
+                let what = format!("@{s} -> @{t} under {}", sem.name);
+                match (&lanes, &sets) {
+                    (CheckResult::Refines, CheckResult::Refines) => {}
+                    (CheckResult::CounterExample(a), CheckResult::CounterExample(b)) => {
+                        assert_eq!(a.to_string(), b.to_string(), "{what}");
+                        witnesses.insert(match &a.witness {
+                            Outcome::Ub => "target UB",
+                            Outcome::Ret {
+                                val: Some(Val::Poison),
+                                ..
+                            } => "poison",
+                            Outcome::Ret {
+                                val: Some(Val::Undef(_)),
+                                ..
+                            } => "undef",
+                            Outcome::Ret { .. } => "wrong value",
+                        });
+                    }
+                    _ => panic!("{what}: lanes {lanes:?} vs sets {sets:?}"),
+                }
+            }
+        }
+    }
+    let want: BTreeSet<_> = ["target UB", "poison", "undef", "wrong value"].into();
+    assert_eq!(witnesses, want);
 }
 
 /// The corpus a checkpointed sweep runs over: one-instruction mul/add

@@ -122,8 +122,10 @@ fn memory_programs_match_reference_over_every_tiny_memory() {
                 expected.push(via_reference);
             }
         }
-        let batch =
-            |engine| enumerate_function_mems(&module, &name, &tuples, &mems, sem, limits, engine);
+        let batch = |engine| {
+            enumerate_function_mems(&module, &name, &tuples, &mems, sem, limits, engine)
+                .into_pairs()
+        };
         for engine in [Engine::Reference, Engine::Plan, Engine::Auto] {
             assert_eq!(
                 batch(engine),

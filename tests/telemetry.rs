@@ -1,7 +1,8 @@
 //! Cross-crate telemetry guarantees (docs/OBSERVABILITY.md):
 //!
 //! 1. the always-on counters are *deterministic under parallelism* —
-//!    a campaign reports identical verdict totals whether it ran on 1,
+//!    a campaign reports identical verdict totals, and the same count
+//!    of comparisons that left lane masks, whether it ran on 1,
 //!    2, or 8 workers (the counters of the outcome-cache miss path are
 //!    explicitly excluded: two workers may race a key and both count a
 //!    miss — and both compile, lower, and run the racing entry);
@@ -171,6 +172,34 @@ fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
             );
         }
     }
+}
+
+/// `frost.refine.compare.materialized` counts the checks whose
+/// comparison left lane masks. That is a property of each (source,
+/// target) pair, not of who enumerated it, so the counter is on the
+/// equality surface. The memory campaign's sides are plan-only, so its
+/// checks are compared set by set and the counter moves.
+#[test]
+fn materialized_comparisons_are_worker_count_invariant() {
+    let _guard = telemetry_lock();
+    let counts: Vec<(u64, u64)> = [1, 2, 8]
+        .into_iter()
+        .map(|workers| {
+            let before = telemetry::snapshot();
+            assert!(run_memory_campaign(workers).is_clean());
+            let delta = telemetry::snapshot().delta(&before);
+            (
+                delta.counter("frost.refine.compare.materialized"),
+                delta.counter("frost.refine.checks"),
+            )
+        })
+        .collect();
+    let (materialized, checks) = counts[0];
+    assert!(
+        0 < materialized && materialized <= checks,
+        "plan-only sides are compared set by set: {counts:?}"
+    );
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
 }
 
 #[test]
