@@ -38,7 +38,7 @@
 //! schema and exits (0 valid, 1 malformed). The `FROST_TRACE` env var
 //! also enables tracing, for processes whose flags you don't control.
 
-use frost_bench::{counters_table, experiments, profile_table};
+use frost_bench::{counters_table, experiments, profile_table, Domain};
 
 /// Rows shown by the `--trace` profile table.
 const PROFILE_TOP_K: usize = 15;
@@ -313,17 +313,30 @@ fn main() {
         // checkpoints instead of sweeping; --checkpoint then names
         // where the merged artifact lands.
         let result = if merge.is_empty() {
-            experiments::sweep(
-                insts,
-                budget_given.then_some(budget),
-                seconds,
-                checkpoint.as_deref().map(std::path::Path::new),
-                prune,
-                (shards > 1).then_some((shard_id, shards)),
-                bench_json.as_deref().map(std::path::Path::new),
-                mem,
-                guards,
-            )
+            let domain = match (mem, guards) {
+                (false, false) => Ok(Domain::Arith),
+                (false, true) => Ok(Domain::Guard),
+                (true, false) => Ok(Domain::Mem),
+                (true, true) => Err(frost_core::FrostError::stage(
+                    "config",
+                    "sweep",
+                    "--mem and --guards sweep different domains; pick one".to_string(),
+                )),
+            };
+            domain.and_then(|domain| {
+                experiments::sweep(
+                    domain,
+                    &experiments::SweepRun {
+                        insts,
+                        budget: budget_given.then_some(budget),
+                        seconds,
+                        checkpoint: checkpoint.as_deref().map(std::path::Path::new),
+                        prune,
+                        shard: (shards > 1).then_some((shard_id, shards)),
+                        bench_json: bench_json.as_deref().map(std::path::Path::new),
+                    },
+                )
+            })
         } else {
             experiments::sweep_merge(&merge, checkpoint.as_deref().map(std::path::Path::new))
         };

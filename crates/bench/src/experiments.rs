@@ -321,76 +321,163 @@ pub fn optfuzz(budget: usize) -> Table {
     t
 }
 
+/// One swept function space, checked against one fixed transform
+/// under the proposed semantics on [`Engine::Auto`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Domain {
+    /// §6: i2 arithmetic ([`GenConfig::arithmetic`]) against the fixed
+    /// InstCombine.
+    Arith,
+    /// Guarded programs ([`GenConfig::guards`]: `assume` over raw,
+    /// compared and frozen facts, poison constants included) against
+    /// the fixed guard band, `assume-simplify` + `guard-dce`.
+    Guard,
+    /// §5 memory programs ([`GenConfig::memory`]: alloca / load /
+    /// store / gep / ptrtoint / inttoptr over one pointer parameter),
+    /// each over every initial memory of the tiny address domain,
+    /// against the fixed alias-aware GVN.
+    Mem,
+}
+
+impl Domain {
+    /// The generator of this domain's `num_insts`-instruction space.
+    pub fn config(self, num_insts: usize) -> GenConfig {
+        match self {
+            Domain::Arith => GenConfig::arithmetic(num_insts),
+            Domain::Guard => GenConfig::guards(num_insts),
+            Domain::Mem => GenConfig::memory(num_insts),
+        }
+    }
+
+    /// The check options: the memory domain also exhausts initial
+    /// memory contents (programs × memories).
+    pub fn options(self) -> CheckOptions {
+        let opts = CheckOptions::new(Semantics::proposed()).engine(Engine::Auto);
+        match self {
+            Domain::Mem => opts.with_inputs(opts.inputs.with_memory_values(true)),
+            Domain::Arith | Domain::Guard => opts,
+        }
+    }
+
+    /// The fixed transform: the domain's passes in `Fixed` mode, then
+    /// DCE and `compact`, on every function of the module.
+    pub fn transform(self) -> impl Fn(&mut Module) + Sync {
+        let mode = PipelineMode::Fixed;
+        let passes: Vec<Box<dyn Pass>> = match self {
+            Domain::Arith => vec![Box::new(frost_opt::InstCombine::new(mode))],
+            Domain::Guard => vec![
+                Box::new(frost_opt::AssumeSimplify::new(mode)),
+                Box::new(frost_opt::GuardDce::new(mode)),
+            ],
+            Domain::Mem => vec![Box::new(Gvn::new(mode))],
+        };
+        move |m: &mut Module| {
+            for f in &mut m.functions {
+                for pass in &passes {
+                    pass.apply(f);
+                }
+                Dce::new().apply(f);
+                f.compact();
+            }
+        }
+    }
+
+    /// `true` if generation-time [`Pruning`] keeps this space's
+    /// behaviours: its liveness model covers integer templates only and
+    /// assumes the last slot's result is the return value.
+    pub fn prunable(self) -> bool {
+        self == Domain::Arith
+    }
+
+    /// The `domain` field of the sweep's benchmark record.
+    pub fn label(self) -> &'static str {
+        match self {
+            Domain::Arith => "arith",
+            Domain::Guard => "guard",
+            Domain::Mem => "mem",
+        }
+    }
+
+    /// The sweep table's title.
+    pub fn title(self) -> &'static str {
+        match self {
+            Domain::Arith => {
+                "§6 full sweep: every i2 arithmetic function × fixed InstCombine (Engine::Auto)"
+            }
+            Domain::Guard => {
+                "guard sweep: every guarded program (assume over raw/compared/frozen facts) × \
+                 fixed guard band (Engine::Auto)"
+            }
+            Domain::Mem => {
+                "§5 memory sweep: every tiny memory program × every initial memory × fixed GVN \
+                 (Engine::Auto)"
+            }
+        }
+    }
+
+    /// The sweep table's note on what a clean run means.
+    pub fn note(self) -> &'static str {
+        match self {
+            Domain::Arith => {
+                "fixed-mode InstCombine over the proposed semantics must stay at 0 violations"
+            }
+            Domain::Guard => {
+                "fixed-mode assume-simplify + guard-dce over the proposed semantics must stay at \
+                 0 violations"
+            }
+            Domain::Mem => {
+                "fixed-mode alias-aware GVN over the proposed semantics must stay at 0 violations"
+            }
+        }
+    }
+}
+
+/// How much of a [`Domain`] one [`sweep`] call covers, and the files
+/// it records to.
+#[derive(Clone, Debug, Default)]
+pub struct SweepRun<'a> {
+    /// Instructions per generated function (at least 1).
+    pub insts: usize,
+    /// Most functions this call checks.
+    pub budget: Option<usize>,
+    /// Wall-clock deadline of this call, in seconds.
+    pub seconds: Option<u64>,
+    /// Resume from this checkpoint file if it exists, then save to it.
+    pub checkpoint: Option<&'a Path>,
+    /// Walk only [`Pruning::FULL`]'s canonical live functions; refused
+    /// unless the domain is [`Domain::prunable`].
+    pub prune: bool,
+    /// `(shard_id, shards)`: one residue class of a `K`-process sweep,
+    /// whose per-shard checkpoints [`sweep_merge`] folds together.
+    pub shard: Option<(usize, usize)>,
+    /// Write the one-line benchmark record here (docs/OBSERVABILITY.md).
+    pub bench_json: Option<&'a Path>,
+}
+
 /// E10 / §6 full space: the complete, *unsampled* exhaustive sweep of
-/// the i2 arithmetic space — what the paper calls "all LLVM functions
-/// with \[n\] instructions" — run as a checkpointed
-/// [`Campaign::run_exhaustive`] on [`Engine::Auto`], resumable across
-/// process restarts via `--checkpoint`.
-///
-/// `prune` turns on [`Pruning::FULL`] generation-time pruning
-/// (commutative-operand ordering, constant-position normalization,
-/// dead-intermediate elimination); `shard` restricts this process to
-/// one residue class `(shard_id, shards)` of a `K`-process campaign
-/// whose per-shard checkpoints [`sweep_merge`] folds back together;
-/// `bench_json` writes a one-line machine-readable benchmark record
-/// (see docs/OBSERVABILITY.md) next to the human table.
-///
-/// `mem` switches the swept space from i2 arithmetic to the §5 memory
-/// domain: [`GenConfig::memory`] programs (alloca / load / store / gep
-/// / ptrtoint / inttoptr over one pointer parameter), each checked over
-/// *every* initial memory content of the tiny address domain
-/// (`InputOptions::with_memory_values`), against the fixed alias-aware
-/// GVN instead of InstCombine. Pruning does not apply to the memory
-/// domain (its liveness model covers integer templates only).
-///
-/// `guards` switches it to the guarded space instead:
-/// [`GenConfig::guards`] programs (`assume` over raw, compared, and
-/// frozen facts, poison constants included), against the fixed guard
-/// band (`assume-simplify` + `guard-dce`). One domain at a time —
-/// `mem` and `guards` are mutually exclusive.
+/// `domain` — what the paper calls "all LLVM functions with \[n\]
+/// instructions" — run as a checkpointed [`Campaign::run_exhaustive`]
+/// on [`Engine::Auto`] against the domain's fixed transform, resumable
+/// across process restarts via [`SweepRun::checkpoint`].
 ///
 /// Returns the table plus a deterministic one-line summary (no
 /// wall-clock columns), so scripts can diff an interrupted-and-resumed
 /// sweep — or a merged `K`-shard sweep — against an uninterrupted
 /// single-process one.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep(
-    num_insts: usize,
-    budget: Option<usize>,
-    seconds: Option<u64>,
-    checkpoint: Option<&Path>,
-    prune: bool,
-    shard: Option<(usize, usize)>,
-    bench_json: Option<&Path>,
-    mem: bool,
-    guards: bool,
-) -> Result<(Table, String), FrostError> {
-    if mem && prune {
+pub fn sweep(domain: Domain, run: &SweepRun) -> Result<(Table, String), FrostError> {
+    if run.prune && !domain.prunable() {
         return Err(FrostError::stage(
             "config",
             "sweep",
             "--prune applies to the arithmetic domain only".to_string(),
         ));
     }
-    if mem && guards {
-        return Err(FrostError::stage(
-            "config",
-            "sweep",
-            "--mem and --guards sweep different domains; pick one".to_string(),
-        ));
-    }
-    let mut cfg = if mem {
-        GenConfig::memory(num_insts)
-    } else if guards {
-        GenConfig::guards(num_insts)
-    } else {
-        GenConfig::arithmetic(num_insts)
-    };
-    if prune {
+    let mut cfg = domain.config(run.insts);
+    if run.prune {
         cfg = cfg.with_pruning(Pruning::FULL);
     }
-    let space = enumerate_functions(cfg.clone()).approx_size();
-    let (shard_id, shards) = shard.unwrap_or((0, 1));
+    let space_estimate = enumerate_functions(cfg.clone()).approx_size();
+    let (shard_id, shards) = run.shard.unwrap_or((0, 1));
     if shards == 0 || shard_id >= shards {
         return Err(FrostError::stage(
             "shard",
@@ -398,7 +485,7 @@ pub fn sweep(
             format!("shard {shard_id}/{shards} out of range"),
         ));
     }
-    let resume = match checkpoint {
+    let resume = match run.checkpoint {
         Some(p) if p.exists() => {
             let cp = CampaignCheckpoint::load_jsonl(p)
                 .map_err(|e| FrostError::stage("checkpoint", "sweep", e.to_string()))?;
@@ -408,84 +495,35 @@ pub fn sweep(
         }
         _ => None,
     };
-    let pipeline_mode = PipelineMode::Fixed;
-    let ic = frost_opt::InstCombine::new(pipeline_mode);
-    let gvn = frost_opt::Gvn::new(pipeline_mode);
-    let asim = frost_opt::AssumeSimplify::new(pipeline_mode);
-    let gdce = frost_opt::GuardDce::new(pipeline_mode);
-    let dce = Dce::new();
-    let mut opts = CheckOptions::new(Semantics::proposed()).engine(Engine::Auto);
-    if mem {
-        // Exhaust initial memory contents too: programs × memories.
-        let inputs = opts.inputs.with_memory_values(true);
-        opts = opts.with_inputs(inputs);
-    }
-    let mut campaign = Campaign::with_options(opts)
+    let mut campaign = Campaign::with_options(domain.options())
         // Large shards amortize the per-batch scoped-thread spawn;
         // checkpoints land on shard boundaries either way.
         .with_shard_size(4096)
         .with_process_shard(shard_id, shards);
-    if let Some(b) = budget {
+    if let Some(b) = run.budget {
         campaign = campaign.with_budget(b);
     }
-    if let Some(s) = seconds {
+    if let Some(s) = run.seconds {
         campaign = campaign.with_deadline(Duration::from_secs(s));
     }
     let before = frost_telemetry::snapshot();
-    let (report, cp) = campaign.run_exhaustive(&cfg, resume.as_ref(), |m| {
-        for f in &mut m.functions {
-            if mem {
-                gvn.apply(f);
-            } else if guards {
-                asim.apply(f);
-                gdce.apply(f);
-            } else {
-                ic.apply(f);
-            }
-            dce.apply(f);
-            f.compact();
-        }
-    });
+    let (report, cp) = campaign.run_exhaustive(&cfg, resume.as_ref(), domain.transform());
     let delta = frost_telemetry::snapshot().delta(&before);
-    if let Some(p) = checkpoint {
+    if let Some(p) = run.checkpoint {
         cp.save_jsonl(p)
             .map_err(|e| FrostError::stage("checkpoint", "sweep", format!("cannot save: {e}")))?;
     }
-    if let Some(p) = bench_json {
-        let domain = if mem {
-            "mem"
-        } else if guards {
-            "guard"
-        } else {
-            "arith"
-        };
-        let line = sweep_bench_json(
-            num_insts,
-            space,
-            prune,
-            (shard_id, shards),
-            &report,
-            &cp,
-            &delta,
-            domain,
-        );
+    if let Some(p) = run.bench_json {
+        let line = sweep_bench_json(domain, run, space_estimate, &report, &cp, &delta);
         std::fs::write(p, line)
             .map_err(|e| FrostError::stage("bench-json", "sweep", format!("cannot save: {e}")))?;
     }
 
     let mut t = Table::new(
-        if mem {
-            "§5 memory sweep: every tiny memory program × every initial memory × fixed GVN \
-             (Engine::Auto)"
-        } else if guards {
-            "guard sweep: every guarded program (assume over raw/compared/frozen facts) × \
-             fixed guard band (Engine::Auto)"
-        } else {
-            "§6 full sweep: every i2 arithmetic function × fixed InstCombine (Engine::Auto)"
-        },
+        domain.title(),
         &[
             "insts",
-            "space",
+            "space_estimate",
             "shard",
             "checked",
             "changed",
@@ -496,11 +534,11 @@ pub fn sweep(
         ],
     );
     t.row(vec![
-        num_insts.to_string(),
-        if prune {
-            format!("{space} (pruned)")
+        run.insts.to_string(),
+        if run.prune {
+            format!("{space_estimate} (pruned)")
         } else {
-            space.to_string()
+            space_estimate.to_string()
         },
         format!("{shard_id}/{shards}"),
         report.total.to_string(),
@@ -513,16 +551,7 @@ pub fn sweep(
     t.note(
         "complete=no means the budget/deadline cut the sweep; rerun with --checkpoint to resume",
     );
-    if mem {
-        t.note("fixed-mode alias-aware GVN over the proposed semantics must stay at 0 violations");
-    } else if guards {
-        t.note(
-            "fixed-mode assume-simplify + guard-dce over the proposed semantics must stay at \
-             0 violations",
-        );
-    } else {
-        t.note("fixed-mode InstCombine over the proposed semantics must stay at 0 violations");
-    }
+    t.note(domain.note());
     let summary = sweep_summary(&cp);
     Ok((t, summary))
 }
@@ -599,22 +628,20 @@ fn sweep_summary(cp: &CampaignCheckpoint) -> String {
 
 /// One `{"kind":"bench","experiment":"sweep",...}` JSONL line: the
 /// machine-readable benchmark record `--bench-json` writes, accepted
-/// by `frost_telemetry::validate_jsonl`. `space` rides as a decimal
-/// string (the 3-instruction space overflows a double); throughput,
-/// wall-clock and `peak_rss_mb` are this run's, tallies are cumulative.
-/// `domain` distinguishes the `arith` (§6), `mem` (§5), and `guard`
-/// sweeps.
-#[allow(clippy::too_many_arguments)]
+/// by `frost_telemetry::validate_jsonl`. `space_estimate`
+/// ([`frost_fuzz::ExhaustiveFunctions::approx_size`]) rides as a
+/// decimal string (the 3-instruction space overflows a double);
+/// throughput, wall-clock and `peak_rss_mb` are this run's, tallies
+/// are cumulative. `domain` is [`Domain::label`].
 fn sweep_bench_json(
-    num_insts: usize,
-    space: u128,
-    prune: bool,
-    (shard_id, shards): (usize, usize),
+    domain: Domain,
+    run: &SweepRun,
+    space_estimate: u128,
     report: &ValidationReport,
     cp: &CampaignCheckpoint,
     delta: &frost_telemetry::Snapshot,
-    domain: &str,
 ) -> String {
+    let (shard_id, shards) = run.shard.unwrap_or((0, 1));
     let stats = &report.stats;
     let bitslice_passes = delta.counter("frost.core.bitslice.compiles");
     let tuples = delta.counter("frost.core.bitslice.tuples_per_pass");
@@ -624,10 +651,10 @@ fn sweep_bench_json(
     record
         .field("kind", "bench")
         .field("experiment", "sweep")
-        .field("domain", domain)
-        .field("insts", num_insts)
-        .field("space", space.to_string())
-        .field("prune", prune)
+        .field("domain", domain.label())
+        .field("insts", run.insts)
+        .field("space_estimate", space_estimate.to_string())
+        .field("prune", run.prune)
         .field("shards", shards)
         .field("shard_id", shard_id)
         .field("checked", cp.total)
@@ -1510,14 +1537,21 @@ mod tests {
         let path = dir.join("cp.jsonl");
         std::fs::remove_file(&path).ok();
         let cp = Some(path.as_path());
-        let (_, summary) = sweep(1, Some(20), None, cp, false, None, None, false, false).unwrap();
+        let run = |insts, budget, shard| SweepRun {
+            insts,
+            budget,
+            checkpoint: cp,
+            shard,
+            ..SweepRun::default()
+        };
+        let (_, summary) = sweep(Domain::Arith, &run(1, Some(20), None)).unwrap();
         assert!(summary.contains("checked=20 "), "{summary}");
-        for (insts, shard, guards, mismatch) in [
-            (2, None, false, "config"),
-            (1, Some((1, 2)), false, "shard"),
-            (1, None, true, "config"),
+        for (insts, shard, domain, mismatch) in [
+            (2, None, Domain::Arith, "config"),
+            (1, Some((1, 2)), Domain::Arith, "shard"),
+            (1, None, Domain::Guard, "config"),
         ] {
-            let err = sweep(insts, None, None, cp, false, shard, None, false, guards)
+            let err = sweep(domain, &run(insts, None, shard))
                 .unwrap_err()
                 .to_string();
             assert!(
@@ -1526,5 +1560,24 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sweep_refuses_pruning_outside_the_arithmetic_domain() {
+        // The liveness prune drops guarded functions whose behaviour
+        // no smaller pruned space has, so a pruned guard sweep would
+        // check the wrong space.
+        for domain in [Domain::Guard, Domain::Mem] {
+            let run = SweepRun {
+                insts: 2,
+                prune: true,
+                ..SweepRun::default()
+            };
+            let err = sweep(domain, &run).unwrap_err().to_string();
+            assert!(
+                err.contains("--prune applies to the arithmetic domain only"),
+                "{domain:?}: {err}"
+            );
+        }
     }
 }

@@ -22,6 +22,7 @@ pub mod microbench;
 pub mod profile;
 pub mod table;
 
+pub use experiments::Domain;
 pub use harness::{compile_workload, pct_improvement, run_workload, RunMetrics};
 pub use input::{run_input, run_input_text, InputError};
 pub use microbench::{BenchResult, Runner};

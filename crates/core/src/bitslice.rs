@@ -829,6 +829,8 @@ impl BitslicePlan {
     /// a checkpoint just before each choice site from `next_var` on.
     /// Takes the accumulated UB mask at `start` and returns the final
     /// one; `executed` accrues plane-word operation counts (telemetry).
+    // The innermost evaluation loop: bundling its state into a struct
+    // is a performance change and needs its own measurement.
     #[allow(clippy::too_many_arguments)]
     fn run_range(
         &self,

@@ -125,8 +125,8 @@ impl OutcomeCache {
     /// The one-memory case of [`OutcomeCache::enumerate_keyed_mems`],
     /// whose docs cover `salt`, `store` and `fkey`, materialized per
     /// tuple ([`Batch::into_pairs`]).
-    // Every parameter is a distinct cache-key component; bundling them
-    // into a struct would just move the field list one call up.
+    // perfbench (perfbench/src/layers.rs) calls this with these ten
+    // arguments, so the signature stays until that caller changes.
     #[allow(clippy::too_many_arguments)]
     pub fn enumerate_keyed(
         &self,
@@ -180,8 +180,8 @@ impl OutcomeCache {
     /// without a probe and never stored; so is a `name` that `module`
     /// does not define, which yields one [`ExecError::BadFunction`] per
     /// pair.
-    // Every parameter is a distinct cache-key component; bundling them
-    // into a struct would just move the field list one call up.
+    // The twin of `enumerate_keyed`, whose ten arguments are fixed by
+    // perfbench; the two signatures change together.
     #[allow(clippy::too_many_arguments)]
     pub fn enumerate_keyed_mems(
         &self,

@@ -1,15 +1,17 @@
-//! Sharded, work-stealing parallel validation campaigns.
+//! Sharded, queue-fed parallel validation campaigns.
 //!
 //! The §6 methodology — generate millions of tiny functions, optimize
 //! each, check refinement — is embarrassingly parallel: every function
 //! is validated independently. [`Campaign`] is the engine that
 //! exploits this. A campaign splits the corpus into fixed-size *shards*
-//! of consecutive function indices; workers (scoped threads) claim
-//! shards off a shared atomic counter, so fast workers steal work that
-//! slow workers never reach. All workers share one
-//! [`OutcomeCache`], so each distinct
+//! (chunks) of consecutive function indices; the calling thread hands
+//! them out through a bounded queue and whichever worker (a scoped
+//! thread) is free takes the next, so fast workers take work that slow
+//! workers never reach. Every entry point runs this one chunk loop. All
+//! workers share one [`OutcomeCache`], so each distinct
 //! (canonical function, semantics) pair is enumerated once per
-//! campaign, no matter which worker sees it first.
+//! campaign, no matter which worker sees it first, and one verdict
+//! tally, which feeds both [`Progress`] and the final report.
 //!
 //! ## Determinism
 //!
@@ -21,15 +23,14 @@
 //! * random corpora derive each function's RNG from its global index
 //!   ([`random_functions_range`]),
 //!   so which worker generates function *i* is irrelevant;
-//! * every [`Violation`] carries its global index, and the merge step
+//! * every [`Violation`] carries its global index, and the final tally
 //!   sorts by it, erasing shard-completion order.
 //!
 //! Only the wall-clock numbers in [`CampaignStats`] (and anything cut
 //! off by a [`deadline`](Campaign::with_deadline)) vary between runs.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use frost_core::{Engine, OutcomeCache, Semantics};
@@ -107,12 +108,7 @@ pub struct CampaignStats {
 impl CampaignStats {
     /// `hits / (hits + misses)`, or 0 when the cache was off or unused.
     pub fn cache_hit_rate(&self) -> f64 {
-        let (h, m) = (self.cache_hits as f64, self.cache_misses as f64);
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+        hit_rate(self.cache_hits, self.cache_misses)
     }
 }
 
@@ -121,7 +117,8 @@ pub type ProgressObserver = Box<dyn Fn(&Progress) + Send + Sync>;
 
 /// A live snapshot of a running campaign, handed to the observer
 /// installed with [`Campaign::with_observer`] after each completed
-/// shard.
+/// shard. `checked` and the verdict counts cover the current call
+/// only: a resumed [`Campaign::run_exhaustive`] starts them at zero.
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
     /// Functions validated so far.
@@ -215,8 +212,8 @@ impl Campaign {
     }
 
     /// Returns this campaign with the given shard granularity
-    /// (functions claimed per steal). Smaller shards balance better;
-    /// larger shards contend less. The default is 64.
+    /// (functions per chunk handed to a worker). Smaller shards balance
+    /// better; larger shards contend less. The default is 64.
     #[must_use]
     pub fn with_shard_size(mut self, shard_size: usize) -> Campaign {
         self.shard_size = shard_size.max(1);
@@ -232,10 +229,12 @@ impl Campaign {
         self
     }
 
-    /// Returns this campaign with a wall-clock deadline. Workers stop
-    /// claiming shards once it expires; [`CampaignStats::skipped`]
-    /// counts what was left. Deadlines trade determinism for
-    /// predictable latency — cut-off campaigns may differ between runs.
+    /// Returns this campaign with a wall-clock deadline, checked each
+    /// time the calling thread pulls a shard: once it expires no new
+    /// shard is handed out (those already queued are still checked),
+    /// and [`CampaignStats::skipped`] counts what was left. Deadlines
+    /// trade determinism for predictable latency — cut-off campaigns
+    /// may differ between runs.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Campaign {
         self.deadline = Some(deadline);
@@ -276,9 +275,11 @@ impl Campaign {
         self
     }
 
-    /// Returns this campaign with a live-progress observer, invoked by
-    /// whichever worker finishes a shard (concurrently — the callback
-    /// must be `Sync`).
+    /// Returns this campaign with a live-progress observer, invoked
+    /// after each shard by the thread that checked it (so the callback
+    /// must be `Sync`). Calls are serialized on the campaign's tally,
+    /// so snapshots arrive in order and the last one carries the whole
+    /// call's tallies.
     #[must_use]
     pub fn with_observer(
         mut self,
@@ -353,12 +354,13 @@ impl Campaign {
     /// violations and tallies to an uninterrupted one.
     /// [`Campaign::with_budget`] bounds the functions checked *this
     /// call* (the natural sharding unit for cross-process sweeps);
-    /// [`Campaign::with_deadline`] stops pulling new batches when it
+    /// [`Campaign::with_deadline`] stops pulling new chunks when it
     /// expires. Either way the returned [`CampaignCheckpoint`] points
     /// at the exact next unchecked function.
     ///
-    /// Only [`ValidationReport::stats`] describes this call alone
-    /// (wall-clock, throughput, cache behavior of this process).
+    /// Only [`ValidationReport::stats`] and the [`Progress`] snapshots
+    /// describe this call alone (wall-clock, throughput, cache behavior
+    /// of this process).
     ///
     /// # Panics
     ///
@@ -373,9 +375,7 @@ impl Campaign {
         resume: Option<&CampaignCheckpoint>,
         transform: impl Fn(&mut Module) + Sync,
     ) -> (ValidationReport, CampaignCheckpoint) {
-        let start = Instant::now();
         let ctrs = campaign_counters();
-        ctrs.runs.incr();
         if resume.is_some() {
             ctrs.resumes.incr();
         }
@@ -398,137 +398,59 @@ impl Campaign {
         };
         let est_total =
             (generator.approx_size() / shards.max(1) as u128).min(usize::MAX as u128) as usize;
-
-        let cache = OutcomeCache::new();
-        let live = LiveCounters::default();
-        let chunk_cap = self.shard_size.max(1);
-        let workers = self.effective_workers(usize::MAX);
         let mut run_span = frost_telemetry::span("fuzz.campaign.exhaustive")
             .field("resumed", resume.is_some())
-            .field("chunk_cap", chunk_cap)
+            .field("chunk_cap", self.shard_size)
             .field("shards", shards)
             .field("shard_id", shard_id);
 
-        let mut checked_this_run = 0usize;
+        // The single-threaded generator walk, stride alignment
+        // included, is the determinism anchor: the set of functions
+        // checked is identical at any worker count.
+        let mut pulled = 0usize;
         let mut budget_hit = false;
-        let mut deadline_hit = false;
-        let partials: Vec<Partial> = {
-            // Sequential chunk pulling: the single-threaded generator
-            // walk, stride alignment included, is the determinism
-            // anchor, so the set of functions checked is identical at
-            // any worker count.
-            let generator = &mut generator;
-            let (deadline_hit, budget_hit) = (&mut deadline_hit, &mut budget_hit);
-            let checked = &mut checked_this_run;
-            let mut pull_chunk = move || -> Vec<(usize, Function)> {
-                let cap = match self.budget {
-                    Some(b) => {
-                        let left = b.saturating_sub(*checked);
-                        if left == 0 {
-                            *budget_hit = true;
-                            return Vec::new();
-                        }
-                        chunk_cap.min(left)
-                    }
-                    None => chunk_cap,
-                };
-                let mut chunk = Vec::with_capacity(cap);
-                while chunk.len() < cap {
-                    if let Some(d) = self.deadline {
-                        if start.elapsed() >= d {
-                            *deadline_hit = true;
-                            break;
-                        }
-                    }
-                    if shards > 1 {
-                        // Self-align to this process's residue class:
-                        // jump over positions owned by other shards.
-                        let stride = shards as u64;
-                        // NB: explicit deref — on `&mut _` a bare
-                        // `.position()` resolves to `Iterator::position`.
-                        let pos = (*generator).position();
-                        let ahead = (shard_id as u64 + stride - pos % stride) % stride;
-                        if ahead > 0 {
-                            generator.fast_forward(ahead);
-                            ctrs.skip_stride.add(ahead);
-                        }
-                    }
-                    let index = (*generator).position() as usize;
-                    let Some(f) = generator.next() else { break };
-                    chunk.push((index, f));
-                }
-                *checked += chunk.len();
-                chunk
-            };
-            // Exhaustive sources are transient: the odometer never
-            // revisits a shape, so caching source enumerations would
-            // grow the campaign's working set with the space instead
-            // of the (tiny) set of canonical target forms.
-            let policy = CheckPolicy {
-                transient_src: true,
-            };
-            let run_chunk = |chunk: Vec<(usize, Function)>, p: &mut Partial| {
-                ctrs.shards.incr();
-                for (index, f) in chunk {
-                    self.check_fn(index, f, &transform, &cache, policy, p, &live, ctrs);
-                }
-                if let Some(obs) = &self.observer {
-                    obs(&live.snapshot(est_total, start, &cache));
-                }
-            };
-            if workers <= 1 {
-                let mut p = Partial::default();
-                loop {
-                    let chunk = pull_chunk();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    run_chunk(chunk, &mut p);
-                }
-                vec![p]
-            } else {
-                // Generation overlaps checking: workers drain a
-                // bounded hand-off queue while the calling thread
-                // keeps pulling, so neither side buffers more than
-                // `2 × workers` chunks ahead.
-                let queue: HandoffQueue<Vec<(usize, Function)>> = HandoffQueue::new(workers * 2);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut p = Partial::default();
-                                while let Some(chunk) = queue.pop() {
-                                    run_chunk(chunk, &mut p);
-                                }
-                                p
-                            })
-                        })
-                        .collect();
-                    loop {
-                        let chunk = pull_chunk();
-                        if chunk.is_empty() {
-                            break;
-                        }
-                        queue.push(chunk);
-                    }
-                    queue.close();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("validation worker panicked"))
-                        .collect()
-                })
+        let chunks = std::iter::from_fn(|| {
+            let left = self.budget.map_or(usize::MAX, |b| b.saturating_sub(pulled));
+            if left == 0 {
+                budget_hit = true;
+                return None;
             }
+            let cap = self.shard_size.min(left);
+            let mut chunk = Vec::with_capacity(cap);
+            while chunk.len() < cap {
+                if shards > 1 {
+                    // Self-align to this process's residue class:
+                    // jump over positions owned by other shards.
+                    let stride = shards as u64;
+                    let ahead = (shard_id as u64 + stride - generator.position() % stride) % stride;
+                    if ahead > 0 {
+                        generator.fast_forward(ahead);
+                        ctrs.skip_stride.add(ahead);
+                    }
+                }
+                let index = generator.position() as usize;
+                let Some(f) = generator.next() else { break };
+                chunk.push((index, f));
+            }
+            pulled += chunk.len();
+            (!chunk.is_empty()).then_some(chunk)
+        });
+        // Exhaustive sources are transient: the odometer never
+        // revisits a shape, so caching source enumerations would grow
+        // the campaign's working set with the space instead of the
+        // (tiny) set of canonical target forms.
+        let policy = CheckPolicy {
+            transient_src: true,
         };
-        for p in partials {
-            cp.total += p.total;
-            cp.changed += p.changed;
-            cp.refined += p.refined;
-            cp.inconclusive += p.inconclusive;
-            cp.violations.extend(p.violations);
-        }
+        let run = self.run_chunks(est_total, policy, &transform, chunks);
 
-        // Erase chunk-completion order; cross-run appends are already
-        // index-monotone, so this also keeps resumed reports canonical.
+        cp.total += run.total;
+        cp.changed += run.changed;
+        cp.refined += run.refined;
+        cp.inconclusive += run.inconclusive;
+        cp.violations.extend(run.violations);
+        // Cross-run appends are index-monotone already; the sort keeps
+        // a resumed report canonical.
         cp.violations.sort_by_key(|v| v.index);
         let (cursor, counter, done) = generator.cursor();
         cp.cursor = cursor;
@@ -538,13 +460,11 @@ impl Campaign {
         if budget_hit {
             ctrs.skip_budget.incr();
         }
-        run_span.set("checked", checked_this_run);
+        run_span.set("checked", run.total);
         run_span.set("violations", cp.violations.len());
         run_span.set("done", done);
         drop(run_span);
 
-        let wall = start.elapsed();
-        let secs = wall.as_secs_f64();
         let report = ValidationReport {
             total: cp.total,
             changed: cp.changed,
@@ -552,19 +472,8 @@ impl Campaign {
             inconclusive: cp.inconclusive,
             violations: cp.violations.clone(),
             stats: CampaignStats {
-                workers: self.effective_workers(usize::MAX),
-                wall,
-                functions_per_sec: if secs > 0.0 {
-                    checked_this_run as f64 / secs
-                } else {
-                    0.0
-                },
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
-                cache_entries: cache.len(),
                 budget_hit,
-                deadline_hit,
-                skipped: 0,
+                ..run.stats
             },
         };
         (report, cp)
@@ -577,126 +486,169 @@ impl Campaign {
         make: &(impl Fn(usize) -> Function + Sync),
         transform: &(impl Fn(&mut Module) + Sync),
     ) -> ValidationReport {
-        let start = Instant::now();
-        let num_shards = count.div_ceil(self.shard_size.max(1));
-        let workers = self.effective_workers(num_shards);
-        let cache = OutcomeCache::new();
-        let next_shard = AtomicUsize::new(0);
-        let deadline_expired = AtomicBool::new(false);
-        let live = LiveCounters::default();
-        let ctrs = campaign_counters();
-        ctrs.runs.incr();
+        let size = self.shard_size;
+        let num_shards = count.div_ceil(size);
         let mut run_span = frost_telemetry::span("fuzz.campaign.run")
             .field("count", count)
-            .field("shards", num_shards)
-            .field("workers", workers);
+            .field("shards", num_shards);
+        // A chunk is a range of indices; the worker that takes it
+        // builds its functions.
+        let chunks = (0..num_shards).map(|k| {
+            let lo = k * size;
+            (lo..(lo + size).min(count)).map(move |i| (i, make(i)))
+        });
+        let mut report = self.run_chunks(count, CheckPolicy::default(), transform, chunks);
 
-        let work = || {
-            let mut p = Partial::default();
-            loop {
-                let claim_start = Instant::now();
-                if let Some(d) = self.deadline {
-                    if start.elapsed() >= d {
-                        deadline_expired.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                if shard >= num_shards {
-                    break;
-                }
-                let claim_ns = claim_start.elapsed().as_nanos() as u64;
-                ctrs.shards.incr();
-                ctrs.claim_ns.record(claim_ns);
-                let lo = shard * self.shard_size;
-                let hi = (lo + self.shard_size).min(count);
-                {
-                    let _shard_span = frost_telemetry::span("fuzz.campaign.shard")
-                        .field("shard", shard)
-                        .field("lo", lo)
-                        .field("hi", hi)
-                        .field("claim_ns", claim_ns);
-                    for i in lo..hi {
-                        self.check_fn(
-                            i,
-                            make(i),
-                            transform,
-                            &cache,
-                            CheckPolicy::default(),
-                            &mut p,
-                            &live,
-                            ctrs,
-                        );
-                    }
-                }
-                if let Some(obs) = &self.observer {
-                    obs(&live.snapshot(count, start, &cache));
-                }
-            }
-            p
-        };
-
-        let partials: Vec<Partial> = if workers <= 1 {
-            vec![work()]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("validation worker panicked"))
-                    .collect()
-            })
-        };
-
-        let mut report = ValidationReport::default();
-        for p in partials {
-            report.total += p.total;
-            report.changed += p.changed;
-            report.refined += p.refined;
-            report.inconclusive += p.inconclusive;
-            report.violations.extend(p.violations);
-        }
-        // Erase shard-completion order: verdicts come out in corpus
-        // order regardless of which worker produced them.
-        report.violations.sort_by_key(|v| v.index);
-
-        let deadline_hit = deadline_expired.load(Ordering::Relaxed);
-        let skipped = count - report.total;
-        if deadline_hit {
-            ctrs.skip_deadline_fns.add(skipped as u64);
+        let ctrs = campaign_counters();
+        report.stats.budget_hit = budget_hit;
+        report.stats.skipped = count - report.total;
+        if report.stats.deadline_hit {
+            ctrs.skip_deadline_fns.add(report.stats.skipped as u64);
         }
         if budget_hit {
             ctrs.skip_budget.incr();
         }
+        run_span.set("workers", report.stats.workers);
         run_span.set("checked", report.total);
         run_span.set("violations", report.violations.len());
-        run_span.set("deadline_hit", deadline_hit);
-        drop(run_span);
+        run_span.set("deadline_hit", report.stats.deadline_hit);
+        report
+    }
 
+    /// The chunk loop behind [`run_indexed`](Campaign::run_indexed) and
+    /// [`run_exhaustive`](Campaign::run_exhaustive). The calling thread
+    /// pulls chunks until `chunks` runs dry or the deadline expires.
+    /// With one worker it checks each chunk inline; otherwise the
+    /// workers drain a bounded hand-off queue, so neither side runs
+    /// more than `2 × workers` chunks ahead. The worker count is
+    /// clamped to the chunk count when `chunks` knows it.
+    ///
+    /// Each chunk is tallied locally, then folded into the campaign's
+    /// one shared tally and added to the `frost.fuzz.campaign.*`
+    /// counters. The observer sees that tally, under its lock, so
+    /// snapshots arrive in order and the last one equals the returned
+    /// report: this call's tallies, violations sorted by corpus index,
+    /// and its [`CampaignStats`] bar `budget_hit` and `skipped`.
+    fn run_chunks<C>(
+        &self,
+        total: usize,
+        policy: CheckPolicy,
+        transform: &(impl Fn(&mut Module) + Sync),
+        mut chunks: impl Iterator<Item = C>,
+    ) -> ValidationReport
+    where
+        C: IntoIterator<Item = (usize, Function)> + Send,
+    {
+        let start = Instant::now();
+        let ctrs = campaign_counters();
+        ctrs.runs.incr();
+        let workers = self.effective_workers(chunks.size_hint().1.unwrap_or(usize::MAX));
+        let cache = OutcomeCache::new();
+        let tally = Mutex::new(ValidationReport::default());
+        let check_chunk = |seq: usize, chunk: C, claim: Instant| {
+            let claim_ns = claim.elapsed().as_nanos() as u64;
+            ctrs.shards.incr();
+            ctrs.claim_ns.record(claim_ns);
+            let mut span = frost_telemetry::span("fuzz.campaign.shard")
+                .field("shard", seq)
+                .field("claim_ns", claim_ns);
+            let mut local = ValidationReport::default();
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for (index, f) in chunk {
+                (lo, hi) = (lo.min(index), index + 1);
+                self.check_fn(index, f, transform, &cache, policy, &mut local);
+            }
+            span.set("lo", lo);
+            span.set("hi", hi);
+            drop(span);
+            ctrs.checked.add(local.total as u64);
+            ctrs.changed.add(local.changed as u64);
+            ctrs.refined.add(local.refined as u64);
+            ctrs.violations.add(local.violations.len() as u64);
+            ctrs.inconclusive.add(local.inconclusive as u64);
+            let mut shared = tally.lock().expect("a worker panicked holding the tally");
+            shared.total += local.total;
+            shared.changed += local.changed;
+            shared.refined += local.refined;
+            shared.inconclusive += local.inconclusive;
+            shared.violations.extend(local.violations);
+            if let Some(obs) = &self.observer {
+                let elapsed = start.elapsed();
+                obs(&Progress {
+                    checked: shared.total,
+                    total,
+                    changed: shared.changed,
+                    refined: shared.refined,
+                    violations: shared.violations.len(),
+                    inconclusive: shared.inconclusive,
+                    elapsed,
+                    functions_per_sec: per_sec(shared.total, elapsed),
+                    cache_hit_rate: hit_rate(cache.hits(), cache.misses()),
+                });
+            }
+        };
+
+        let mut deadline_hit = false;
+        let mut pull = || {
+            if self.deadline.is_some_and(|d| start.elapsed() >= d) {
+                deadline_hit = true;
+                return None;
+            }
+            chunks.next()
+        };
+        if workers <= 1 {
+            for seq in 0.. {
+                let claim = Instant::now();
+                let Some(chunk) = pull() else { break };
+                check_chunk(seq, chunk, claim);
+            }
+        } else {
+            let queue: HandoffQueue<(usize, C)> = HandoffQueue::new(workers * 2);
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| {
+                        let _close = CloseOnUnwind(&queue);
+                        loop {
+                            let claim = Instant::now();
+                            let Some((seq, chunk)) = queue.pop() else {
+                                break;
+                            };
+                            check_chunk(seq, chunk, claim);
+                        }
+                    });
+                }
+                for seq in 0.. {
+                    let Some(chunk) = pull() else { break };
+                    if !queue.push((seq, chunk)) {
+                        break;
+                    }
+                }
+                queue.close();
+            });
+        }
+
+        let mut report = tally
+            .into_inner()
+            .expect("a worker panicked holding the tally");
+        // Erase chunk-completion order: verdicts come out in corpus
+        // order regardless of which worker produced them.
+        report.violations.sort_by_key(|v| v.index);
         let wall = start.elapsed();
-        let secs = wall.as_secs_f64();
         report.stats = CampaignStats {
             workers,
             wall,
-            functions_per_sec: if secs > 0.0 {
-                report.total as f64 / secs
-            } else {
-                0.0
-            },
+            functions_per_sec: per_sec(report.total, wall),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             cache_entries: cache.len(),
-            budget_hit,
             deadline_hit,
-            skipped,
+            ..CampaignStats::default()
         };
         report
     }
 
-    /// Checks one already-generated function; the shared verdict path
-    /// of [`run_indexed`](Campaign::run_indexed) and
-    /// [`run_exhaustive`](Campaign::run_exhaustive).
-    #[allow(clippy::too_many_arguments)]
+    /// Checks one already-generated function, counting its verdict
+    /// into `tally`.
     fn check_fn(
         &self,
         index: usize,
@@ -704,9 +656,7 @@ impl Campaign {
         transform: &(impl Fn(&mut Module) + Sync),
         cache: &OutcomeCache,
         policy: CheckPolicy,
-        p: &mut Partial,
-        live: &LiveCounters,
-        ctrs: &CampaignCounters,
+        tally: &mut ValidationReport,
     ) {
         let name = f.name.clone();
         let mut before = Module::new();
@@ -714,37 +664,21 @@ impl Campaign {
         let mut after = before.clone();
         transform(&mut after);
 
-        p.total += 1;
-        live.checked.fetch_add(1, Ordering::Relaxed);
-        ctrs.checked.incr();
+        tally.total += 1;
         if after != before {
-            p.changed += 1;
-            live.changed.fetch_add(1, Ordering::Relaxed);
-            ctrs.changed.incr();
+            tally.changed += 1;
         }
         match check_refinement_cached_policy(
             &before, &name, &after, &name, &self.opts, cache, policy,
         ) {
-            CheckResult::Refines => {
-                p.refined += 1;
-                live.refined.fetch_add(1, Ordering::Relaxed);
-                ctrs.refined.incr();
-            }
-            CheckResult::CounterExample(ce) => {
-                live.violations.fetch_add(1, Ordering::Relaxed);
-                ctrs.violations.incr();
-                p.violations.push(Violation {
-                    index,
-                    before: function_to_string(before.function(&name).expect("exists")),
-                    after: function_to_string(after.function(&name).expect("exists")),
-                    counterexample: ce.to_string(),
-                });
-            }
-            CheckResult::Inconclusive(_) => {
-                p.inconclusive += 1;
-                live.inconclusive.fetch_add(1, Ordering::Relaxed);
-                ctrs.inconclusive.incr();
-            }
+            CheckResult::Refines => tally.refined += 1,
+            CheckResult::CounterExample(ce) => tally.violations.push(Violation {
+                index,
+                before: function_to_string(before.function(&name).expect("exists")),
+                after: function_to_string(after.function(&name).expect("exists")),
+                counterexample: ce.to_string(),
+            }),
+            CheckResult::Inconclusive(_) => tally.inconclusive += 1,
         }
     }
 
@@ -760,7 +694,7 @@ impl Campaign {
     }
 }
 
-/// A bounded single-producer hand-off queue: the generator thread
+/// A bounded single-producer hand-off queue: the calling thread
 /// blocks once `cap` chunks are in flight, workers block while it is
 /// empty, and [`HandoffQueue::close`] drains the remainder and then
 /// releases everyone. Bounding the queue keeps a fast generator from
@@ -790,23 +724,35 @@ impl<T> HandoffQueue<T> {
         }
     }
 
-    /// Blocks until there is room, then enqueues. Producer-side only;
-    /// never called after [`HandoffQueue::close`].
-    fn push(&self, item: T) {
+    /// Blocks until there is room, then enqueues. Producer-side only.
+    /// Returns `false`, dropping `item`, once the queue is closed: a
+    /// worker died ([`CloseOnUnwind`]), so the producer should stop.
+    fn push(&self, item: T) -> bool {
         let mut st = self.state.lock().expect("queue poisoned");
-        while st.items.len() >= self.cap {
+        while st.items.len() >= self.cap && !st.closed {
             st = self.not_full.wait(st).expect("queue poisoned");
+        }
+        if st.closed {
+            return false;
         }
         st.items.push_back(item);
         drop(st);
         self.not_empty.notify_one();
+        true
     }
 
     /// Marks the stream complete: blocked poppers drain what is left
-    /// and then observe the close.
+    /// and then observe the close, and a blocked pusher gives up.
     fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        // Also runs while a worker unwinds, where a second panic would
+        // abort; `closed` is a lone flag, valid whatever the poisoner
+        // left.
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
     /// Blocks for the next chunk; `None` once the queue is closed and
@@ -827,48 +773,36 @@ impl<T> HandoffQueue<T> {
     }
 }
 
-/// One worker's share of the report, merged after the join.
-#[derive(Default)]
-struct Partial {
-    total: usize,
-    changed: usize,
-    refined: usize,
-    inconclusive: usize,
-    violations: Vec<Violation>,
-}
+/// Closes its queue when its worker unwinds, so the producer stops
+/// instead of waiting forever for room that no dead worker will make,
+/// and the campaign fails with the worker's panic.
+struct CloseOnUnwind<'a, T>(&'a HandoffQueue<T>);
 
-/// Shared atomics behind the live [`Progress`] snapshots.
-#[derive(Default)]
-struct LiveCounters {
-    checked: AtomicUsize,
-    changed: AtomicUsize,
-    refined: AtomicUsize,
-    violations: AtomicUsize,
-    inconclusive: AtomicUsize,
-    _pad: AtomicU64,
-}
-
-impl LiveCounters {
-    fn snapshot(&self, total: usize, start: Instant, cache: &OutcomeCache) -> Progress {
-        let checked = self.checked.load(Ordering::Relaxed);
-        let elapsed = start.elapsed();
-        let secs = elapsed.as_secs_f64();
-        let (h, m) = (cache.hits() as f64, cache.misses() as f64);
-        Progress {
-            checked,
-            total,
-            changed: self.changed.load(Ordering::Relaxed),
-            refined: self.refined.load(Ordering::Relaxed),
-            violations: self.violations.load(Ordering::Relaxed),
-            inconclusive: self.inconclusive.load(Ordering::Relaxed),
-            elapsed,
-            functions_per_sec: if secs > 0.0 {
-                checked as f64 / secs
-            } else {
-                0.0
-            },
-            cache_hit_rate: if h + m == 0.0 { 0.0 } else { h / (h + m) },
+impl<T> Drop for CloseOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
         }
+    }
+}
+
+/// `n` per second of `wall`, or 0 for an instantaneous run.
+fn per_sec(n: usize, wall: Duration) -> f64 {
+    let secs = wall.as_secs_f64();
+    if secs > 0.0 {
+        n as f64 / secs
+    } else {
+        0.0
+    }
+}
+
+/// `hits / (hits + misses)`, or 0 when the cache was unused.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let (h, m) = (hits as f64, misses as f64);
+    if h + m == 0.0 {
+        0.0
+    } else {
+        h / (h + m)
     }
 }
 
@@ -877,7 +811,7 @@ mod tests {
     use super::*;
     use crate::gen::enumerate_functions;
     use frost_opt::{o2_pipeline, PipelineMode};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pipeline_transform(mode: PipelineMode) -> impl Fn(&mut Module) + Sync {
         let pm = o2_pipeline(mode);
@@ -940,6 +874,75 @@ mod tests {
             calls.load(Ordering::Relaxed) >= 40 / 5,
             "one call per shard"
         );
+
+        // The legacy campaign over the tiny undef space finds
+        // violations, so the last snapshot is compared on every tally.
+        let cfg = tiny_undef_cfg();
+        for workers in [1, 4] {
+            for exhaustive in [false, true] {
+                let last = std::sync::Arc::new(Mutex::new(None::<Progress>));
+                let calls = std::sync::Arc::new(AtomicUsize::new(0));
+                let (last2, calls2) = (std::sync::Arc::clone(&last), std::sync::Arc::clone(&calls));
+                let campaign = Campaign::with_options(CheckOptions::new(Semantics::legacy_gvn()))
+                    .with_workers(workers)
+                    .with_shard_size(5)
+                    .with_observer(move |p: &Progress| {
+                        assert!(p.checked <= p.total);
+                        let mut last = last2.lock().unwrap();
+                        if let Some(prev) = *last {
+                            assert!(prev.checked <= p.checked, "progress went backwards");
+                        }
+                        *last = Some(*p);
+                        calls2.fetch_add(1, Ordering::Relaxed);
+                    });
+                let report = if exhaustive {
+                    campaign.run_exhaustive(&cfg, None, legacy_transform()).0
+                } else {
+                    let report = campaign.run_random(&cfg, 11, 40, legacy_transform());
+                    assert_eq!(report.total, 40);
+                    report
+                };
+                assert!(!report.is_clean(), "{report}");
+                assert!(
+                    calls.load(Ordering::Relaxed) >= report.total.div_ceil(5),
+                    "one call per shard"
+                );
+                let last = last.lock().unwrap().expect("the observer ran");
+                assert_eq!(
+                    (
+                        last.checked,
+                        last.total,
+                        last.changed,
+                        last.refined,
+                        last.violations,
+                        last.inconclusive
+                    ),
+                    (
+                        report.total,
+                        report.total,
+                        report.changed,
+                        report.refined,
+                        report.violations.len(),
+                        report.inconclusive
+                    ),
+                    "the last snapshot must equal the report ({workers} workers, \
+                     exhaustive: {exhaustive})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_worker_fails_the_campaign_instead_of_hanging() {
+        // Both workers die on their first function; the calling thread
+        // must stop handing out chunks, not wait for room forever.
+        Campaign::new(Semantics::proposed())
+            .with_workers(2)
+            .with_shard_size(1)
+            .run_random(&GenConfig::arithmetic(1), 1, 64, |_m| {
+                panic!("transform bug")
+            });
     }
 
     #[test]

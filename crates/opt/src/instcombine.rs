@@ -179,7 +179,6 @@ fn simplify(func: &Function, id: InstId, mode: PipelineMode) -> Option<Action> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn simplify_bin(
     func: &Function,
     op: BinOp,

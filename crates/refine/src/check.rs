@@ -363,7 +363,6 @@ pub fn check_refinement_cached(
 /// what the cache *retains*, never what the check concludes.
 // The seventh parameter is the point of this entry; folding it into
 // CheckOptions would make cache policy part of every cache key.
-#[allow(clippy::too_many_arguments)]
 pub fn check_refinement_cached_policy(
     src_module: &Module,
     src_fn: &str,

@@ -124,8 +124,10 @@ echo "==> guarded-program exhaustive sweep (2-inst, assume/unreachable)"
 # assume-simplify + guard-dce band must complete with zero violations,
 # and its BENCH_guard.json record must pass the telemetry validator.
 # Its summary must equal the EXPERIMENTS.md line byte for byte.
-# Guarded functions are plan-only (frost.core.bitslice.guard_rejects),
-# so this also exercises the Engine::Auto fallback path at scale.
+# Most guarded functions are bit-sliced; the few with a guard the
+# engine cannot lower (939 of 59,143 enumerations in this space,
+# frost.core.bitslice.guard_rejects) exercise the Engine::Auto plan
+# fallback.
 rm -f BENCH_guard.json
 cargo run -q --release -p frost-bench --bin repro -- \
     --experiment sweep --guards --seconds 600 \
@@ -150,6 +152,23 @@ cmp sweep-guard-summary.out sweep-guard-expected.out || {
 cargo run -q --release -p frost-bench --bin repro -- \
     --validate-trace BENCH_guard.json
 rm -f sweep-guard-ci.out sweep-guard-summary.out sweep-guard-expected.out
+
+echo "==> sweep domain refusals (--guards --prune, --mem --guards)"
+# Pruning keeps only the arithmetic space's behaviours, and a sweep
+# walks one domain: both combinations must exit 1 naming the flag.
+for flags in "--guards --prune" "--mem --guards"; do
+    status=0
+    # shellcheck disable=SC2086
+    cargo run -q --release -p frost-bench --bin repro -- \
+        --experiment sweep $flags --insts 1 >/dev/null 2>sweep-refusal.err || status=$?
+    flag=${flags##* }
+    if [ "$status" -ne 1 ] || ! grep -q -- "$flag" sweep-refusal.err; then
+        echo "ci: 'repro -e sweep $flags' must exit 1 naming $flag (exit $status)" >&2
+        cat sweep-refusal.err >&2
+        exit 1
+    fi
+done
+rm -f sweep-refusal.err
 
 echo "==> 3-inst sharded sweep slice + merge smoke (bounded)"
 # A bounded slice of the 3-instruction space (6.3B functions unpruned,

@@ -104,11 +104,22 @@ fn counter_totals_are_worker_count_invariant() {
         assert!(report.stats.workers >= 1);
         let delta = telemetry::snapshot().delta(&before);
         let counters = deterministic_counters(&delta);
-        assert_eq!(
-            counters.get("frost.fuzz.campaign.checked"),
-            Some(&(report.total as u64)),
-            "global counter must mirror the report"
-        );
+        for (verdict, tally) in [
+            ("checked", report.total),
+            ("changed", report.changed),
+            ("refined", report.refined),
+            ("violations", report.violations.len()),
+            ("inconclusive", report.inconclusive),
+        ] {
+            assert_eq!(
+                counters
+                    .get(&format!("frost.fuzz.campaign.{verdict}"))
+                    .copied()
+                    .unwrap_or(0),
+                tally as u64,
+                "global counter {verdict} must mirror the report"
+            );
+        }
         assert!(
             counters.get("frost.refine.checks").copied().unwrap_or(0) >= report.total as u64,
             "every campaign check goes through the refinement checker"
