@@ -98,10 +98,7 @@ pub struct GenConfig {
     /// results, frozen booleans, the literals) can be asserted as a
     /// fact. Guards are void, so guarded functions return the most
     /// recent *value-producing* result instead of the syntactically
-    /// last one (or `void` when every slot is a guard). Construction
-    /// goes through the descriptor table's
-    /// [`make_guard`](frost_ir::Descriptor::make_guard), so a new guard
-    /// opcode needs no generator arm.
+    /// last one (or `void` when every slot is a guard).
     pub guards: bool,
     /// Generation-time canonicalization (default: [`Pruning::NONE`]).
     pub prune: Pruning,
@@ -738,13 +735,7 @@ fn build_function(cfg: &GenConfig, templates: &[Template], name: &str) -> Functi
                 to_ty: ptr_ty.clone(),
                 val: val.clone(),
             },
-            // Guards are built by the descriptor table itself, so a new
-            // guard opcode would need only a template arm naming its
-            // row, not bespoke construction.
-            Template::Assume { cond } => frost_ir::Opcode::Assume
-                .descriptor()
-                .make_guard(cond.clone())
-                .expect("assume row is a guard"),
+            Template::Assume { cond } => Inst::Assume { cond: cond.clone() },
         };
         let id = func.add_inst(inst);
         func.blocks[0].insts.push(id);

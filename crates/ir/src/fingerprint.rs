@@ -23,9 +23,9 @@
 use std::hash::{Hash, Hasher};
 
 use crate::function::Function;
-use crate::inst::{Inst, Terminator};
+use crate::inst::{Cond, Flags, Inst, Operand, Rule, SubOpcode, Terminator, Visit};
 use crate::types::Ty;
-use crate::value::{Constant, Value};
+use crate::value::{BlockId, Constant, Value};
 
 /// The exact structural fingerprint of one [`Function`] body. See the
 /// [module docs](self) for the equivalence it induces.
@@ -57,10 +57,10 @@ impl FunctionKey {
                 }
             }
         }
-        enc.ty(&f.ret_ty);
+        enc.type_words(&f.ret_ty);
         enc.push(f.params.len() as u64);
         for p in &f.params {
-            enc.ty(&p.ty);
+            enc.type_words(&p.ty);
         }
         enc.push(f.blocks.len() as u64);
         for b in &f.blocks {
@@ -114,7 +114,7 @@ impl Encoder {
         self.out.push(w);
     }
 
-    fn ty(&mut self, ty: &Ty) {
+    fn type_words(&mut self, ty: &Ty) {
         match ty {
             Ty::Int(bits) => {
                 self.push(0);
@@ -122,12 +122,12 @@ impl Encoder {
             }
             Ty::Ptr(pointee) => {
                 self.push(1);
-                self.ty(pointee);
+                self.type_words(pointee);
             }
             Ty::Vector { elems, elem } => {
                 self.push(2);
                 self.push(*elems as u64);
-                self.ty(elem);
+                self.type_words(elem);
             }
             Ty::Void => self.push(3),
         }
@@ -143,15 +143,15 @@ impl Encoder {
             }
             Constant::Null(ty) => {
                 self.push(1);
-                self.ty(ty);
+                self.type_words(ty);
             }
             Constant::Poison(ty) => {
                 self.push(2);
-                self.ty(ty);
+                self.type_words(ty);
             }
             Constant::Undef(ty) => {
                 self.push(3);
-                self.ty(ty);
+                self.type_words(ty);
             }
             Constant::Vector(elems) => {
                 self.push(4);
@@ -201,166 +201,11 @@ impl Encoder {
     }
 
     fn inst(&mut self, inst: &Inst) {
-        // The variant tag comes from the descriptor table (the single
-        // registry of fingerprint tags); the match below only encodes
-        // per-variant immediates and operands. Rows with no immediates
-        // (the guards) fall through to the generic operand encoding.
-        self.push(inst.descriptor().tag as u64);
-        match inst {
-            Inst::Bin {
-                op,
-                flags,
-                ty,
-                lhs,
-                rhs,
-            } => {
-                self.push(*op as u64);
-                self.push(flags.nsw as u64 | (flags.nuw as u64) << 1 | (flags.exact as u64) << 2);
-                self.ty(ty);
-                self.value(lhs);
-                self.value(rhs);
-            }
-            Inst::Icmp { cond, ty, lhs, rhs } => {
-                self.push(*cond as u64);
-                self.ty(ty);
-                self.value(lhs);
-                self.value(rhs);
-            }
-            Inst::Select {
-                cond,
-                ty,
-                tval,
-                fval,
-            } => {
-                self.ty(ty);
-                self.value(cond);
-                self.value(tval);
-                self.value(fval);
-            }
-            Inst::Phi { ty, incoming } => {
-                self.ty(ty);
-                self.push(incoming.len() as u64);
-                for (v, bb) in incoming {
-                    self.value(v);
-                    self.push(bb.0 as u64);
-                }
-            }
-            Inst::Freeze { ty, val } => {
-                self.ty(ty);
-                self.value(val);
-            }
-            Inst::Cast {
-                kind,
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                self.push(*kind as u64);
-                self.ty(from_ty);
-                self.ty(to_ty);
-                self.value(val);
-            }
-            Inst::Bitcast {
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                self.ty(from_ty);
-                self.ty(to_ty);
-                self.value(val);
-            }
-            Inst::Gep {
-                elem_ty,
-                base,
-                idx_ty,
-                idx,
-                inbounds,
-            } => {
-                self.ty(elem_ty);
-                self.ty(idx_ty);
-                self.push(*inbounds as u64);
-                self.value(base);
-                self.value(idx);
-            }
-            Inst::Load { ty, ptr } => {
-                self.ty(ty);
-                self.value(ptr);
-            }
-            Inst::Store { ty, val, ptr } => {
-                self.ty(ty);
-                self.value(val);
-                self.value(ptr);
-            }
-            Inst::ExtractElement {
-                elem_ty,
-                len,
-                vec,
-                idx,
-            } => {
-                self.ty(elem_ty);
-                self.push(*len as u64);
-                self.value(vec);
-                self.value(idx);
-            }
-            Inst::InsertElement {
-                elem_ty,
-                len,
-                vec,
-                elt,
-                idx,
-            } => {
-                self.ty(elem_ty);
-                self.push(*len as u64);
-                self.value(vec);
-                self.value(elt);
-                self.value(idx);
-            }
-            Inst::Call {
-                ret_ty,
-                callee,
-                arg_tys,
-                args,
-            } => {
-                self.ty(ret_ty);
-                // Callee names are symbol references into the enclosing
-                // module, not α-renamable locals: keep them verbatim.
-                self.str_bytes(callee);
-                self.push(arg_tys.len() as u64);
-                for t in arg_tys {
-                    self.ty(t);
-                }
-                self.push(args.len() as u64);
-                for a in args {
-                    self.value(a);
-                }
-            }
-            Inst::Alloca { ty } => {
-                self.ty(ty);
-            }
-            Inst::PtrToInt {
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                self.ty(from_ty);
-                self.ty(to_ty);
-                self.value(val);
-            }
-            Inst::IntToPtr {
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                self.ty(from_ty);
-                self.ty(to_ty);
-                self.value(val);
-            }
-            // Rows with no immediates beyond their operand list (the
-            // guards): the descriptor tag plus the operands is the
-            // whole encoding. `assume`'s operand is always i1, so no
-            // type word is needed for injectivity.
-            _ => inst.for_each_operand(|v| self.value(v)),
-        }
+        // The opcode discriminant tags the variant; the walk encodes its
+        // fields in textual order. Spelled-again and own operand types
+        // are not encoded: the operand's value determines them.
+        self.push(inst.opcode() as u64);
+        inst.walk(self);
     }
 
     fn term(&mut self, t: &Terminator) {
@@ -385,6 +230,54 @@ impl Encoder {
                 self.push(bb.0 as u64);
             }
             Terminator::Unreachable => self.push(4),
+        }
+    }
+}
+
+impl Visit for Encoder {
+    fn opcode<S: SubOpcode>(&mut self, op: &S) {
+        self.push(op.code());
+    }
+    fn cond(&mut self, cond: &Cond) {
+        self.push(*cond as u64);
+    }
+    fn flags(&mut self, flags: &Flags) {
+        self.push(flags.nsw as u64 | (flags.nuw as u64) << 1 | (flags.exact as u64) << 2);
+    }
+    fn keyword(&mut self, _: &'static str, on: &bool) {
+        self.push(*on as u64);
+    }
+    fn ty(&mut self, ty: &Ty, _: Rule) {
+        self.type_words(ty);
+    }
+    fn operand(&mut self, val: &Value, _: Operand<'_>) {
+        self.value(val);
+    }
+    fn vector(&mut self, len: &u32, elem: &Ty, val: &Value) {
+        self.type_words(elem);
+        self.push(*len as u64);
+        self.value(val);
+    }
+    fn incoming(&mut self, _: &Ty, incoming: &Vec<(Value, BlockId)>) {
+        self.push(incoming.len() as u64);
+        for (val, bb) in incoming {
+            self.value(val);
+            self.push(bb.0 as u64);
+        }
+    }
+    fn callee(&mut self, name: &String) {
+        // Callee names are symbol references into the enclosing module,
+        // not α-renamable locals: keep them verbatim.
+        self.str_bytes(name);
+    }
+    fn args(&mut self, tys: &Vec<Ty>, args: &Vec<Value>) {
+        self.push(tys.len() as u64);
+        for ty in tys {
+            self.type_words(ty);
+        }
+        self.push(args.len() as u64);
+        for val in args {
+            self.value(val);
         }
     }
 }

@@ -1,24 +1,22 @@
 //! The per-instruction descriptor table.
 //!
-//! One static [`Descriptor`] row per [`Inst`] variant collects the
-//! per-opcode knowledge that used to be duplicated as parallel match
-//! arms across the verifier, the [`FunctionKey`] encoder, the textual
-//! front end, the execution planner, and the exhaustive generator:
-//! fingerprint tag, canonical mnemonic, operand arity, result kind,
-//! UB class, commutativity, side effects, and bit-slice eligibility.
-//! Each of those five layers consults the table instead of keeping its
-//! own opcode list, so extending the instruction set means adding a row
-//! here (plus the executor semantics) rather than touching ten files.
-//! The `assume`/`unreachable` guards were added exactly that way.
-//!
-//! [`FunctionKey`]: crate::fingerprint::FunctionKey
+//! One static [`Descriptor`] row per [`Inst`] variant holds what the
+//! non-executor layers know about an opcode beyond its fields: the
+//! canonical mnemonic, whether it yields a value, its UB class and
+//! whether it has side effects. The fields themselves, their textual
+//! order and their typing rules are the [field walk](super::walk); an
+//! instruction's layout is written down there once and its facts here
+//! once. A new instruction is one row here, one arm of the walk, and its
+//! semantics in the executors. The bit-sliced engine decides on its own
+//! which bodies it can lower (from the plan steps), so the table says
+//! nothing about engines.
 
-use super::Inst;
-use crate::value::Value;
+use super::{BinOp, CastKind, Inst};
 
 /// A stable opcode identifying one [`Inst`] variant (not one mnemonic:
 /// all thirteen binary opcodes share [`Opcode::Bin`], the three
-/// conversions share [`Opcode::Cast`]).
+/// conversions share [`Opcode::Cast`]). The discriminant is the
+/// variant's [`FunctionKey`](crate::FunctionKey) tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Opcode {
     /// Binary integer arithmetic ([`Inst::Bin`]).
@@ -57,16 +55,6 @@ pub enum Opcode {
     Assume,
 }
 
-/// How many value operands an instruction takes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Arity {
-    /// Exactly this many operands.
-    Fixed(u8),
-    /// An operand list whose length is per-instance (phi incomings,
-    /// call arguments).
-    Variadic,
-}
-
 /// Whether an instruction yields a value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ResultKind {
@@ -98,8 +86,8 @@ pub enum UbClass {
     Guard,
 }
 
-/// One row of the table: everything the non-executor layers need to
-/// know about an instruction variant.
+/// One row of the table: what the non-executor layers know about an
+/// instruction variant beyond its fields.
 #[derive(Debug)]
 pub struct Descriptor {
     /// Which variant this row describes.
@@ -108,32 +96,14 @@ pub struct Descriptor {
     /// carries it (`Bin` prints `add`/`sub`/…, `Cast` prints
     /// `zext`/`sext`/`trunc`).
     pub mnemonic: Option<&'static str>,
-    /// The [`FunctionKey`](crate::fingerprint::FunctionKey) encoding
-    /// tag. Unique per row; the encoder pushes it before any
-    /// per-variant immediates.
-    pub tag: u8,
-    /// Operand count.
-    pub arity: Arity,
     /// Whether the instruction yields a value.
     pub result: ResultKind,
     /// Deferred/immediate/guard UB classification.
     pub ub: UbClass,
-    /// `true` if operands may be swapped for all defined values.
-    /// Variant-level: `Bin` rows defer to
-    /// [`BinOp::is_commutative`](super::BinOp::is_commutative).
-    pub commutative: bool,
     /// `true` if the instruction changes observable state even when
     /// its result is unused (memory writes, layout, phase flips,
     /// guard facts) and therefore may not be dropped by DCE.
     pub side_effects: bool,
-    /// `true` if every operand (and for guards, the consumed fact)
-    /// must have type `i1`. Consumed generically by the verifier and
-    /// the textual front end.
-    pub bool_operands: bool,
-    /// `true` if the bit-sliced engine can lower this instruction;
-    /// `false` rows make the whole function fall back to the plan
-    /// loop under the auto-dispatching engine.
-    pub bitslice_ok: bool,
 }
 
 impl Descriptor {
@@ -142,16 +112,6 @@ impl Descriptor {
     pub fn is_guard(&self) -> bool {
         self.ub == UbClass::Guard
     }
-
-    /// Builds the instruction for a unary guard row from its consumed
-    /// fact. Returns `None` for non-guard rows — the textual parser
-    /// uses this so guard mnemonics need no dedicated parse arm.
-    pub fn make_guard(&self, fact: Value) -> Option<Inst> {
-        match self.opcode {
-            Opcode::Assume if self.is_guard() => Some(Inst::Assume { cond: fact }),
-            _ => None,
-        }
-    }
 }
 
 /// The table, indexed by [`Opcode`] discriminant order.
@@ -159,206 +119,121 @@ pub static TABLE: [Descriptor; 17] = [
     Descriptor {
         opcode: Opcode::Bin,
         mnemonic: None,
-        tag: 0,
-        arity: Arity::Fixed(2),
         result: ResultKind::Value,
         ub: UbClass::Deferred, // div/rem immediate UB is per-BinOp
-        commutative: false,    // per-BinOp
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: true,
     },
     Descriptor {
         opcode: Opcode::Icmp,
         mnemonic: Some("icmp"),
-        tag: 1,
-        arity: Arity::Fixed(2),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: true,
     },
     Descriptor {
         opcode: Opcode::Select,
         mnemonic: Some("select"),
-        tag: 2,
-        arity: Arity::Fixed(3),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: true,
     },
     Descriptor {
         opcode: Opcode::Phi,
         mnemonic: Some("phi"),
-        tag: 3,
-        arity: Arity::Variadic,
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: false, // straight-line lowering only
     },
     Descriptor {
         opcode: Opcode::Freeze,
         mnemonic: Some("freeze"),
-        tag: 4,
-        arity: Arity::Fixed(1),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: true,
     },
     Descriptor {
         opcode: Opcode::Cast,
         mnemonic: None,
-        tag: 5,
-        arity: Arity::Fixed(1),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: true,
     },
     Descriptor {
         opcode: Opcode::Bitcast,
         mnemonic: Some("bitcast"),
-        tag: 6,
-        arity: Arity::Fixed(1),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: true,
     },
     Descriptor {
         opcode: Opcode::Gep,
         mnemonic: Some("getelementptr"),
-        tag: 7,
-        arity: Arity::Fixed(2),
         result: ResultKind::Value,
         ub: UbClass::Deferred, // OOB arithmetic is poison, not UB
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: false, // memory: plane representation is per-value
     },
     Descriptor {
         opcode: Opcode::Load,
         mnemonic: Some("load"),
-        tag: 8,
-        arity: Arity::Fixed(1),
         result: ResultKind::Value,
         ub: UbClass::Immediate,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::Store,
         mnemonic: Some("store"),
-        tag: 9,
-        arity: Arity::Fixed(2),
         result: ResultKind::Void,
         ub: UbClass::Immediate,
-        commutative: false,
         side_effects: true,
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::ExtractElement,
         mnemonic: Some("extractelement"),
-        tag: 10,
-        arity: Arity::Fixed(2),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::InsertElement,
         mnemonic: Some("insertelement"),
-        tag: 11,
-        arity: Arity::Fixed(3),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: false,
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::Call,
         mnemonic: Some("call"),
-        tag: 12,
-        arity: Arity::Variadic,
         result: ResultKind::MaybeVoid,
         ub: UbClass::Immediate,
-        commutative: false,
         side_effects: true,
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::Alloca,
         mnemonic: Some("alloca"),
-        tag: 13,
-        arity: Arity::Fixed(0),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: true, // the deterministic block layout is observable
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::PtrToInt,
         mnemonic: Some("ptrtoint"),
-        tag: 14,
-        arity: Arity::Fixed(1),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: true, // flips memory into the finite phase
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::IntToPtr,
         mnemonic: Some("inttoptr"),
-        tag: 15,
-        arity: Arity::Fixed(1),
         result: ResultKind::Value,
         ub: UbClass::Deferred,
-        commutative: false,
         side_effects: true,
-        bool_operands: false,
-        bitslice_ok: false,
     },
     Descriptor {
         opcode: Opcode::Assume,
         mnemonic: Some("assume"),
-        tag: 16,
-        arity: Arity::Fixed(1),
         result: ResultKind::Void,
         ub: UbClass::Guard,
-        commutative: false,
         side_effects: true, // the asserted fact constrains later code
-        bool_operands: true,
-        bitslice_ok: false, // rejected with frost.core.bitslice.guard_rejects
     },
 ];
 
@@ -377,39 +252,16 @@ impl Opcode {
 /// both the void-statement prescan and the guard parse path go through
 /// it.
 pub fn by_mnemonic(word: &str) -> Option<&'static Descriptor> {
-    if super::BinOp::ALL.iter().any(|op| op.mnemonic() == word) {
+    if BinOp::ALL.iter().any(|op| op.mnemonic() == word) {
         return Some(Opcode::Bin.descriptor());
     }
-    if ["zext", "sext", "trunc"].contains(&word) {
+    if CastKind::ALL.iter().any(|kind| kind.mnemonic() == word) {
         return Some(Opcode::Cast.descriptor());
     }
     TABLE.iter().find(|d| d.mnemonic == Some(word))
 }
 
 impl Inst {
-    /// The variant-level opcode of this instruction.
-    pub fn opcode(&self) -> Opcode {
-        match self {
-            Inst::Bin { .. } => Opcode::Bin,
-            Inst::Icmp { .. } => Opcode::Icmp,
-            Inst::Select { .. } => Opcode::Select,
-            Inst::Phi { .. } => Opcode::Phi,
-            Inst::Freeze { .. } => Opcode::Freeze,
-            Inst::Cast { .. } => Opcode::Cast,
-            Inst::Bitcast { .. } => Opcode::Bitcast,
-            Inst::Gep { .. } => Opcode::Gep,
-            Inst::Load { .. } => Opcode::Load,
-            Inst::Store { .. } => Opcode::Store,
-            Inst::ExtractElement { .. } => Opcode::ExtractElement,
-            Inst::InsertElement { .. } => Opcode::InsertElement,
-            Inst::Call { .. } => Opcode::Call,
-            Inst::Alloca { .. } => Opcode::Alloca,
-            Inst::PtrToInt { .. } => Opcode::PtrToInt,
-            Inst::IntToPtr { .. } => Opcode::IntToPtr,
-            Inst::Assume { .. } => Opcode::Assume,
-        }
-    }
-
     /// The descriptor row for this instruction's variant.
     pub fn descriptor(&self) -> &'static Descriptor {
         self.opcode().descriptor()
@@ -422,10 +274,11 @@ mod tests {
 
     #[test]
     fn table_is_in_opcode_order_with_unique_tags() {
-        let mut tags = std::collections::HashSet::new();
+        // The FunctionKey tag is the opcode discriminant, so table order
+        // makes tags unique; each row's blank instance reports its row.
         for (i, d) in TABLE.iter().enumerate() {
             assert_eq!(d.opcode as usize, i, "{:?} out of order", d.opcode);
-            assert!(tags.insert(d.tag), "duplicate tag {}", d.tag);
+            assert_eq!(Inst::blank(d.opcode).opcode(), d.opcode);
         }
     }
 
@@ -440,22 +293,9 @@ mod tests {
     }
 
     #[test]
-    fn guard_rows_build_their_instruction() {
-        use crate::value::Value;
-        let d = Opcode::Assume.descriptor();
-        assert!(d.is_guard());
-        assert_eq!(
-            d.make_guard(Value::Arg(0)),
-            Some(Inst::Assume {
-                cond: Value::Arg(0)
-            })
-        );
-        assert_eq!(Opcode::Store.descriptor().make_guard(Value::Arg(0)), None);
-    }
-
-    #[test]
     fn descriptor_agrees_with_inst_queries() {
         use crate::types::Ty;
+        use crate::value::Value;
         let assume = Inst::Assume {
             cond: Value::Arg(0),
         };
@@ -470,7 +310,7 @@ mod tests {
             val: Value::Arg(0),
             ptr: Value::Arg(1),
         };
-        assert_eq!(store.descriptor().arity, Arity::Fixed(2));
+        assert_eq!(store.operands().len(), 2);
         assert!(store.descriptor().side_effects);
     }
 }

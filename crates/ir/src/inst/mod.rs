@@ -13,8 +13,10 @@ use crate::types::Ty;
 use crate::value::{BlockId, InstId, Value};
 
 pub mod descriptor;
+pub mod walk;
 
-pub use descriptor::{Arity, Descriptor, Opcode, ResultKind, UbClass};
+pub use descriptor::{Descriptor, Opcode, ResultKind, UbClass};
+pub use walk::{Operand, Rule, Sep, SubOpcode, Visit, VisitMut, Want};
 
 /// A binary integer opcode.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -339,6 +341,9 @@ pub enum CastKind {
 }
 
 impl CastKind {
+    /// All conversion kinds, in a fixed order.
+    pub const ALL: [CastKind; 3] = [CastKind::Zext, CastKind::Sext, CastKind::Trunc];
+
     /// The instruction mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -631,109 +636,15 @@ impl Inst {
         matches!(self, Inst::Freeze { .. })
     }
 
-    /// Visits every operand.
-    pub fn for_each_operand(&self, mut f: impl FnMut(&Value)) {
-        match self {
-            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Inst::Select {
-                cond, tval, fval, ..
-            } => {
-                f(cond);
-                f(tval);
-                f(fval);
-            }
-            Inst::Phi { incoming, .. } => {
-                for (v, _) in incoming {
-                    f(v);
-                }
-            }
-            Inst::Freeze { val, .. }
-            | Inst::Cast { val, .. }
-            | Inst::Bitcast { val, .. }
-            | Inst::PtrToInt { val, .. }
-            | Inst::IntToPtr { val, .. }
-            | Inst::Load { ptr: val, .. }
-            | Inst::Assume { cond: val } => f(val),
-            Inst::Gep { base, idx, .. } => {
-                f(base);
-                f(idx);
-            }
-            Inst::Store { val, ptr, .. } => {
-                f(val);
-                f(ptr);
-            }
-            Inst::ExtractElement { vec, idx, .. } => {
-                f(vec);
-                f(idx);
-            }
-            Inst::InsertElement { vec, elt, idx, .. } => {
-                f(vec);
-                f(elt);
-                f(idx);
-            }
-            Inst::Call { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Inst::Alloca { .. } => {}
-        }
+    /// Visits every operand, in textual order.
+    pub fn for_each_operand(&self, f: impl FnMut(&Value)) {
+        self.walk(&mut walk::Operands(f));
     }
 
     /// Visits every operand mutably (used by passes when rewriting
     /// operands).
-    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Value)) {
-        match self {
-            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Inst::Select {
-                cond, tval, fval, ..
-            } => {
-                f(cond);
-                f(tval);
-                f(fval);
-            }
-            Inst::Phi { incoming, .. } => {
-                for (v, _) in incoming {
-                    f(v);
-                }
-            }
-            Inst::Freeze { val, .. }
-            | Inst::Cast { val, .. }
-            | Inst::Bitcast { val, .. }
-            | Inst::PtrToInt { val, .. }
-            | Inst::IntToPtr { val, .. }
-            | Inst::Load { ptr: val, .. }
-            | Inst::Assume { cond: val } => f(val),
-            Inst::Gep { base, idx, .. } => {
-                f(base);
-                f(idx);
-            }
-            Inst::Store { val, ptr, .. } => {
-                f(val);
-                f(ptr);
-            }
-            Inst::ExtractElement { vec, idx, .. } => {
-                f(vec);
-                f(idx);
-            }
-            Inst::InsertElement { vec, elt, idx, .. } => {
-                f(vec);
-                f(elt);
-                f(idx);
-            }
-            Inst::Call { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Inst::Alloca { .. } => {}
-        }
+    pub fn for_each_operand_mut(&mut self, f: impl FnMut(&mut Value)) {
+        self.walk_mut(&mut walk::Operands(f));
     }
 
     /// Collects the operands into a vector.

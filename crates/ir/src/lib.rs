@@ -73,7 +73,7 @@ pub use builder::FunctionBuilder;
 pub use fingerprint::FunctionKey;
 pub use function::{Block, DeclAttrs, FuncDecl, Function, Module, Param, UseCounts};
 pub use inst::{
-    Arity, BinOp, CastKind, Cond, Descriptor, Flags, Inst, Opcode, ResultKind, Terminator, UbClass,
+    BinOp, CastKind, Cond, Descriptor, Flags, Inst, Opcode, ResultKind, Terminator, UbClass,
 };
 pub use text::{
     check_roundtrip, function_to_string, module_to_string, parse_function, parse_module,

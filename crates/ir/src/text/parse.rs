@@ -13,7 +13,10 @@ use std::fmt;
 
 use super::lexer::{lex, Span, Tok, Token};
 use crate::function::{Block, DeclAttrs, FuncDecl, Function, Module, Param};
-use crate::inst::{BinOp, CastKind, Cond, Flags, Inst, Terminator};
+use crate::inst::descriptor::by_mnemonic;
+use crate::inst::{
+    Cond, Flags, Inst, Operand, ResultKind, Rule, Sep, SubOpcode, Terminator, VisitMut, Want,
+};
 use crate::types::Ty;
 use crate::value::{BlockId, Constant, InstId, Value};
 
@@ -212,6 +215,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A statement must end its line: the pre-scan numbers statements
+    /// line by line. Underlines everything after the statement just read
+    /// up to the end of its line (or the closing `}`).
+    fn end_line(&self, message: &str) -> Result<()> {
+        let line = self.toks[self.pos - 1].line;
+        let mut rest = self.toks[self.pos..]
+            .iter()
+            .take_while(|t| t.line == line && t.tok != Tok::RBrace);
+        match rest.next() {
+            Some(first) => {
+                let last = rest.last().unwrap_or(first);
+                self.err_at(first.span.to(last.span), message)
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Parses a type. `void` is accepted only when `allow_void` is set.
     fn parse_ty(&mut self, allow_void: bool) -> Result<Ty> {
         let base = match self.next()? {
@@ -234,7 +254,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Lt => {
                 let elems = match self.next()? {
-                    Tok::Int(v) if v > 0 => v as u32,
+                    Tok::Int(v) if v > 0 && v <= i128::from(u32::MAX) => v as u32,
                     _ => {
                         self.pos -= 1;
                         return self.err("expected a positive vector length");
@@ -357,24 +377,9 @@ fn parse_flags(p: &mut Parser<'_>) -> Flags {
     }
 }
 
-fn binop_from_word(w: &str) -> Option<BinOp> {
-    BinOp::ALL.into_iter().find(|op| op.mnemonic() == w)
-}
-
-fn cond_from_word(w: &str) -> Option<Cond> {
-    Cond::ALL.into_iter().find(|c| c.mnemonic() == w)
-}
-
-fn cast_from_word(w: &str) -> Option<CastKind> {
-    match w {
-        "zext" => Some(CastKind::Zext),
-        "sext" => Some(CastKind::Sext),
-        "trunc" => Some(CastKind::Trunc),
-        _ => None,
-    }
-}
-
-/// Parses one instruction after the optional `%name =` prefix.
+/// Parses one instruction after the optional `%name =` prefix: the
+/// mnemonic picks a blank instance, and [`Inst::walk_mut`] fills its
+/// fields from the tokens in textual order.
 fn parse_inst(p: &mut Parser<'_>, ctx: &FnContext) -> Result<Inst> {
     let mnemonic_span = p.span();
     let word = match p.next()? {
@@ -384,335 +389,185 @@ fn parse_inst(p: &mut Parser<'_>, ctx: &FnContext) -> Result<Inst> {
             return p.err(format!("expected an instruction mnemonic, found {got}"));
         }
     };
-    if let Some(op) = binop_from_word(&word) {
-        let flags = parse_flags(p);
-        let ty = p.parse_ty(false)?;
-        let lhs = parse_value(p, ctx, &ty)?;
-        p.expect(Tok::Comma)?;
-        let rhs = parse_value(p, ctx, &ty)?;
-        return Ok(Inst::Bin {
-            op,
-            flags,
-            ty,
-            lhs,
-            rhs,
-        });
+    let Some(row) = by_mnemonic(&word) else {
+        return p.err_at(mnemonic_span, format!("unknown instruction '{word}'"));
+    };
+    let mut inst = Inst::blank(row.opcode);
+    let mut fields = Fields {
+        p,
+        ctx,
+        mnemonic: &word,
+        err: None,
+    };
+    inst.walk_mut(&mut fields);
+    match fields.err {
+        Some(e) => Err(e),
+        None => Ok(inst),
     }
-    if let Some(kind) = cast_from_word(&word) {
-        let from_ty = p.parse_ty(false)?;
-        let val = parse_value(p, ctx, &from_ty)?;
-        p.expect_word("to")?;
-        let to_ty = p.parse_ty(false)?;
-        return Ok(Inst::Cast {
-            kind,
-            from_ty,
-            to_ty,
-            val,
-        });
+}
+
+/// Reads the walked fields of one instruction. The first error sticks:
+/// every later field is left blank and no further token is read.
+struct Fields<'p, 'a> {
+    p: &'p mut Parser<'a>,
+    ctx: &'p FnContext,
+    mnemonic: &'p str,
+    err: Option<ParseError>,
+}
+
+impl<'a> Fields<'_, 'a> {
+    fn run(&mut self, read: impl FnOnce(&mut Parser<'a>, &FnContext, &str) -> Result<()>) {
+        if self.err.is_none() {
+            self.err = read(self.p, self.ctx, self.mnemonic).err();
+        }
     }
-    match word.as_str() {
-        "icmp" => {
-            let cond = match p.next()? {
-                Tok::Word(w) => cond_from_word(&w).ok_or_else(|| {
-                    ParseError::at(
-                        p.src,
-                        p.prev_span(),
-                        format!("unknown icmp condition '{w}'"),
-                    )
-                })?,
+}
+
+/// Parses a type and underlines all of it with `why`'s message if `why`
+/// objects to it.
+fn parse_ty_checked(
+    p: &mut Parser<'_>,
+    allow_void: bool,
+    why: impl FnOnce(&Ty) -> Option<String>,
+) -> Result<Ty> {
+    let start = p.span();
+    let ty = p.parse_ty(allow_void)?;
+    match why(&ty) {
+        Some(message) => p.err_at(start.to(p.prev_span()), message),
+        None => Ok(ty),
+    }
+}
+
+impl VisitMut for Fields<'_, '_> {
+    fn opcode<S: SubOpcode>(&mut self, op: &mut S) {
+        // The mnemonic picked this variant, so it names a sub-opcode.
+        if let Some(&named) = S::ALL.iter().find(|s| s.mnemonic() == self.mnemonic) {
+            *op = named;
+        }
+    }
+
+    fn cond(&mut self, cond: &mut Cond) {
+        self.run(|p, _, m| {
+            *cond = match p.next()? {
+                Tok::Word(w) => match Cond::ALL.into_iter().find(|c| c.mnemonic() == w) {
+                    Some(c) => c,
+                    None => return p.err_at(p.prev_span(), format!("unknown {m} condition '{w}'")),
+                },
                 got => {
                     p.pos -= 1;
-                    return p.err(format!("expected an icmp condition, found {got}"));
+                    return p.err(format!("expected an {m} condition, found {got}"));
                 }
             };
-            let ty = p.parse_ty(false)?;
-            let lhs = parse_value(p, ctx, &ty)?;
-            p.expect(Tok::Comma)?;
-            let rhs = parse_value(p, ctx, &ty)?;
-            Ok(Inst::Icmp { cond, ty, lhs, rhs })
-        }
-        "select" => {
-            let cond_ty = p.parse_ty(false)?;
-            let cond = parse_value(p, ctx, &cond_ty)?;
-            p.expect(Tok::Comma)?;
-            let ty = p.parse_ty(false)?;
-            let tval = parse_value(p, ctx, &ty)?;
-            p.expect(Tok::Comma)?;
-            let fty_span = p.span();
-            let fty = p.parse_ty(false)?;
-            if fty != ty {
-                return p.err_at(
-                    fty_span.to(p.prev_span()),
-                    format!("select arms must have the same type ({ty} vs {fty})"),
-                );
-            }
-            let fval = parse_value(p, ctx, &ty)?;
-            Ok(Inst::Select {
-                cond,
-                ty,
-                tval,
-                fval,
-            })
-        }
-        "phi" => {
-            let ty = p.parse_ty(false)?;
-            let mut incoming = Vec::new();
-            loop {
-                p.expect(Tok::LBracket)?;
-                let v = parse_value(p, ctx, &ty)?;
-                p.expect(Tok::Comma)?;
-                let label = p.expect_local()?;
-                let bb = ctx.resolve_label(p, &label)?;
-                p.expect(Tok::RBracket)?;
-                incoming.push((v, bb));
-                if !p.eat(&Tok::Comma) {
-                    break;
+            Ok(())
+        });
+    }
+
+    fn flags(&mut self, flags: &mut Flags) {
+        self.run(|p, _, _| {
+            *flags = parse_flags(p);
+            Ok(())
+        });
+    }
+
+    fn keyword(&mut self, word: &'static str, on: &mut bool) {
+        self.run(|p, _, _| {
+            *on = p.eat_word(word);
+            Ok(())
+        });
+    }
+
+    fn ty(&mut self, ty: &mut Ty, rule: Rule) {
+        self.run(|p, _, m| {
+            *ty = parse_ty_checked(p, rule == Rule::MaybeVoid, |t| rule.violation(m, t))?;
+            Ok(())
+        });
+    }
+
+    fn operand(&mut self, val: &mut Value, how: Operand<'_>) {
+        self.run(|p, ctx, m| {
+            *val = match how {
+                Operand::After(ty) => parse_value(p, ctx, ty)?,
+                Operand::Again(want, what) => {
+                    let ty = parse_ty_checked(p, false, |t| {
+                        (!want.matches(t)).then(|| match want {
+                            Want::Is(_) => {
+                                format!("{m} {what} must have the same type ({want} vs {t})")
+                            }
+                            _ => format!("{m} {what} type must be {want}"),
+                        })
+                    })?;
+                    parse_value(p, ctx, &ty)?
                 }
-            }
-            Ok(Inst::Phi { ty, incoming })
-        }
-        "freeze" => {
-            let ty = p.parse_ty(false)?;
-            let val = parse_value(p, ctx, &ty)?;
-            Ok(Inst::Freeze { ty, val })
-        }
-        "bitcast" => {
-            let from_ty = p.parse_ty(false)?;
-            let val = parse_value(p, ctx, &from_ty)?;
-            p.expect_word("to")?;
-            let to_ty = p.parse_ty(false)?;
-            Ok(Inst::Bitcast {
-                from_ty,
-                to_ty,
-                val,
-            })
-        }
-        "getelementptr" => {
-            let inbounds = p.eat_word("inbounds");
-            let elem_ty = p.parse_ty(false)?;
-            p.expect(Tok::Comma)?;
-            let ptr_span = p.span();
-            let ptr_ty = p.parse_ty(false)?;
-            if ptr_ty != Ty::ptr_to(elem_ty.clone()) {
-                return p.err_at(
-                    ptr_span.to(p.prev_span()),
-                    format!("gep pointer type must be {elem_ty}*"),
-                );
-            }
-            let base = parse_value(p, ctx, &ptr_ty)?;
-            p.expect(Tok::Comma)?;
-            let idx_ty = p.parse_ty(false)?;
-            let idx = parse_value(p, ctx, &idx_ty)?;
-            Ok(Inst::Gep {
-                elem_ty,
-                base,
-                idx_ty,
-                idx,
-                inbounds,
-            })
-        }
-        "load" => {
-            let ty = p.parse_ty(false)?;
-            p.expect(Tok::Comma)?;
-            let ptr_span = p.span();
-            let ptr_ty = p.parse_ty(false)?;
-            if ptr_ty != Ty::ptr_to(ty.clone()) {
-                return p.err_at(
-                    ptr_span.to(p.prev_span()),
-                    format!("load pointer type must be {ty}*"),
-                );
-            }
-            let ptr = parse_value(p, ctx, &ptr_ty)?;
-            Ok(Inst::Load { ty, ptr })
-        }
-        "store" => {
-            let ty = p.parse_ty(false)?;
-            let val = parse_value(p, ctx, &ty)?;
-            p.expect(Tok::Comma)?;
-            let ptr_span = p.span();
-            let ptr_ty = p.parse_ty(false)?;
-            if ptr_ty != Ty::ptr_to(ty.clone()) {
-                return p.err_at(
-                    ptr_span.to(p.prev_span()),
-                    format!("store pointer type must be {ty}*"),
-                );
-            }
-            let ptr = parse_value(p, ctx, &ptr_ty)?;
-            Ok(Inst::Store { ty, val, ptr })
-        }
-        "extractelement" => {
-            let vec_span = p.span();
-            let vec_ty = p.parse_ty(false)?;
-            let (len, elem_ty) = match &vec_ty {
-                Ty::Vector { elems, elem } => (*elems, (**elem).clone()),
-                _ => {
-                    return p.err_at(
-                        vec_span.to(p.prev_span()),
-                        "extractelement needs a vector type",
-                    )
+                Operand::Own(required) => {
+                    let ty = parse_ty_checked(p, false, |t| {
+                        required
+                            .filter(|want| *want != t)
+                            .map(|want| format!("{m} operand must have type {want}, got {t}"))
+                    })?;
+                    parse_value(p, ctx, &ty)?
                 }
             };
-            let vec = parse_value(p, ctx, &vec_ty)?;
+            Ok(())
+        });
+    }
+
+    fn vector(&mut self, len: &mut u32, elem: &mut Ty, val: &mut Value) {
+        self.run(|p, ctx, m| {
+            let ty = parse_ty_checked(p, false, |t| {
+                (!t.is_vector()).then(|| format!("{m} needs a vector type"))
+            })?;
+            if let Ty::Vector { elems, elem: e } = &ty {
+                (*len, *elem) = (*elems, (**e).clone());
+            }
+            *val = parse_value(p, ctx, &ty)?;
+            Ok(())
+        });
+    }
+
+    fn incoming(&mut self, ty: &Ty, incoming: &mut Vec<(Value, BlockId)>) {
+        self.run(|p, ctx, _| loop {
+            p.expect(Tok::LBracket)?;
+            let v = parse_value(p, ctx, ty)?;
             p.expect(Tok::Comma)?;
-            let idx_ty = p.parse_ty(false)?;
-            let idx = parse_value(p, ctx, &idx_ty)?;
-            Ok(Inst::ExtractElement {
-                elem_ty,
-                len,
-                vec,
-                idx,
-            })
-        }
-        "insertelement" => {
-            let vec_span = p.span();
-            let vec_ty = p.parse_ty(false)?;
-            let (len, elem_ty) = match &vec_ty {
-                Ty::Vector { elems, elem } => (*elems, (**elem).clone()),
-                _ => {
-                    return p.err_at(
-                        vec_span.to(p.prev_span()),
-                        "insertelement needs a vector type",
-                    )
-                }
-            };
-            let vec = parse_value(p, ctx, &vec_ty)?;
-            p.expect(Tok::Comma)?;
-            let ety_span = p.span();
-            let ety = p.parse_ty(false)?;
-            if ety != elem_ty {
-                return p.err_at(
-                    ety_span.to(p.prev_span()),
-                    format!("insertelement element type mismatch ({elem_ty} vs {ety})"),
-                );
+            let label = p.expect_local()?;
+            let bb = ctx.resolve_label(p, &label)?;
+            p.expect(Tok::RBracket)?;
+            incoming.push((v, bb));
+            if !p.eat(&Tok::Comma) {
+                return Ok(());
             }
-            let elt = parse_value(p, ctx, &elem_ty)?;
-            p.expect(Tok::Comma)?;
-            let idx_ty = p.parse_ty(false)?;
-            let idx = parse_value(p, ctx, &idx_ty)?;
-            Ok(Inst::InsertElement {
-                elem_ty,
-                len,
-                vec,
-                elt,
-                idx,
-            })
-        }
-        "alloca" => {
-            let ty_span = p.span();
-            let ty = p.parse_ty(false)?;
-            if ty.byte_size() == 0 {
-                return p.err_at(
-                    ty_span.to(p.prev_span()),
-                    "cannot allocate a zero-sized type",
-                );
-            }
-            Ok(Inst::Alloca { ty })
-        }
-        "ptrtoint" => {
-            let from_span = p.span();
-            let from_ty = p.parse_ty(false)?;
-            if !from_ty.is_ptr() {
-                return p.err_at(
-                    from_span.to(p.prev_span()),
-                    format!("ptrtoint source must be a pointer, got {from_ty}"),
-                );
-            }
-            let val = parse_value(p, ctx, &from_ty)?;
-            p.expect_word("to")?;
-            let to_span = p.span();
-            let to_ty = p.parse_ty(false)?;
-            if to_ty != Ty::Int(crate::types::PTR_BITS) {
-                return p.err_at(
-                    to_span.to(p.prev_span()),
-                    format!(
-                        "ptrtoint result must be i{} (the pointer width), got {to_ty}",
-                        crate::types::PTR_BITS
-                    ),
-                );
-            }
-            Ok(Inst::PtrToInt {
-                from_ty,
-                to_ty,
-                val,
-            })
-        }
-        "inttoptr" => {
-            let from_span = p.span();
-            let from_ty = p.parse_ty(false)?;
-            if from_ty != Ty::Int(crate::types::PTR_BITS) {
-                return p.err_at(
-                    from_span.to(p.prev_span()),
-                    format!(
-                        "inttoptr source must be i{} (the pointer width), got {from_ty}",
-                        crate::types::PTR_BITS
-                    ),
-                );
-            }
-            let val = parse_value(p, ctx, &from_ty)?;
-            p.expect_word("to")?;
-            let to_span = p.span();
-            let to_ty = p.parse_ty(false)?;
-            if !to_ty.is_ptr() {
-                return p.err_at(
-                    to_span.to(p.prev_span()),
-                    format!("inttoptr result must be a pointer, got {to_ty}"),
-                );
-            }
-            Ok(Inst::IntToPtr {
-                from_ty,
-                to_ty,
-                val,
-            })
-        }
-        "call" => {
-            let ret_ty = p.parse_ty(true)?;
-            let callee = p.expect_global()?;
+        });
+    }
+
+    fn callee(&mut self, name: &mut String) {
+        self.run(|p, _, _| {
+            *name = p.expect_global()?;
+            Ok(())
+        });
+    }
+
+    fn args(&mut self, tys: &mut Vec<Ty>, args: &mut Vec<Value>) {
+        self.run(|p, ctx, _| {
             p.expect(Tok::LParen)?;
-            let mut arg_tys = Vec::new();
-            let mut args = Vec::new();
-            if !p.eat(&Tok::RParen) {
-                loop {
-                    let ty = p.parse_ty(false)?;
-                    let v = parse_value(p, ctx, &ty)?;
-                    arg_tys.push(ty);
-                    args.push(v);
-                    if !p.eat(&Tok::Comma) {
-                        break;
-                    }
-                }
-                p.expect(Tok::RParen)?;
+            if p.eat(&Tok::RParen) {
+                return Ok(());
             }
-            Ok(Inst::Call {
-                ret_ty,
-                callee,
-                arg_tys,
-                args,
-            })
-        }
-        other => {
-            // Guard mnemonics parse through the descriptor table:
-            // `<mnemonic> <ty> <value>`, with the operand type pinned
-            // to i1 by the row's `bool_operands`. No dedicated arm per
-            // guard — a new guard row is parseable as soon as it is in
-            // the table.
-            if let Some(d) = crate::inst::descriptor::by_mnemonic(other) {
-                if d.is_guard() {
-                    let ty_span = p.span();
-                    let ty = p.parse_ty(false)?;
-                    if d.bool_operands && !ty.is_bool() {
-                        return p.err_at(
-                            ty_span.to(p.prev_span()),
-                            format!("{other} operand must have type i1, got {ty}"),
-                        );
-                    }
-                    let fact = parse_value(p, ctx, &ty)?;
-                    return Ok(d
-                        .make_guard(fact)
-                        .expect("guard rows build their instruction"));
+            loop {
+                let ty = p.parse_ty(false)?;
+                args.push(parse_value(p, ctx, &ty)?);
+                tys.push(ty);
+                if !p.eat(&Tok::Comma) {
+                    return p.expect(Tok::RParen);
                 }
             }
-            p.err_at(mnemonic_span, format!("unknown instruction '{other}'"))
-        }
+        });
+    }
+
+    fn sep(&mut self, sep: Sep) {
+        self.run(|p, _, _| match sep {
+            Sep::Comma => p.expect(Tok::Comma),
+            Sep::To => p.expect_word("to"),
+        });
     }
 }
 
@@ -758,26 +613,6 @@ fn parse_terminator(p: &mut Parser<'_>, ctx: &FnContext, ret_ty: &Ty) -> Result<
         });
     }
     if p.eat_word("unreachable") {
-        // `unreachable` takes no operands; underline anything trailing
-        // on the same line rather than tripping over it as the next
-        // statement.
-        let line = p.toks[p.pos - 1].line;
-        if let Some(first) = p
-            .toks
-            .get(p.pos)
-            .filter(|t| t.line == line && t.tok != Tok::RBrace)
-        {
-            let mut span = first.span;
-            let mut j = p.pos + 1;
-            while let Some(t) = p.toks.get(j) {
-                if t.line != line || t.tok == Tok::RBrace {
-                    break;
-                }
-                span = span.to(t.span);
-                j += 1;
-            }
-            return p.err_at(span, "unreachable takes no operands");
-        }
         return Ok(Terminator::Unreachable);
     }
     p.err("expected a terminator (ret, br, unreachable)")
@@ -821,9 +656,7 @@ fn prescan(p: &Parser<'_>, ctx: &mut FnContext) -> Result<()> {
                     }
                     next_block += 1;
                     i += 1; // skip the colon too
-                } else if crate::inst::descriptor::by_mnemonic(w)
-                    .is_some_and(|d| d.result != crate::inst::ResultKind::Value)
-                {
+                } else if by_mnemonic(w).is_some_and(|d| d.result != ResultKind::Value) {
                     // Unnamed (void-result per its descriptor row)
                     // instruction: `store`, void `call`, guards.
                     next_inst += 1;
@@ -875,6 +708,9 @@ fn prescan(p: &Parser<'_>, ctx: &mut FnContext) -> Result<()> {
     Ok(())
 }
 
+/// The message for tokens left on a statement's line.
+const STATEMENT_END: &str = "a statement must end its line";
+
 fn parse_function_body(
     p: &mut Parser<'_>,
     name: String,
@@ -922,6 +758,7 @@ fn parse_function_body(
             let w = w.clone();
             if p.toks.get(p.pos + 1).map(|t| &t.tok) == Some(&Tok::Colon) {
                 p.pos += 2;
+                p.end_line(STATEMENT_END)?;
                 cur_block = Some(ctx.labels[&w]);
                 continue;
             }
@@ -931,6 +768,11 @@ fn parse_function_body(
                     return p.err("terminator outside of a block");
                 };
                 let term = parse_terminator(p, &ctx, &ret_ty)?;
+                p.end_line(if term == Terminator::Unreachable {
+                    "unreachable takes no operands"
+                } else {
+                    STATEMENT_END
+                })?;
                 func.block_mut(bb).term = term;
                 continue;
             }
@@ -949,6 +791,7 @@ fn parse_function_body(
             None
         };
         let inst = parse_inst(p, &ctx)?;
+        p.end_line(STATEMENT_END)?;
         if named.is_some() && inst.result_ty().is_void() {
             return p.err_at(
                 stmt_span,
@@ -965,7 +808,11 @@ fn parse_function_body(
         debug_assert_eq!(id, InstId(next_inst));
         next_inst += 1;
         if let Some(n) = &named {
-            debug_assert_eq!(ctx.defs[n], id, "pre-scan id matches parse order");
+            debug_assert_eq!(
+                ctx.defs.get(n),
+                Some(&id),
+                "pre-scan id matches parse order"
+            );
         }
         func.block_mut(bb).insts.push(id);
     }

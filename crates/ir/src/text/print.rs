@@ -14,7 +14,8 @@
 use std::fmt::{self, Write as _};
 
 use crate::function::{Function, Module};
-use crate::inst::{Inst, Terminator};
+use crate::inst::{Cond, Flags, Inst, Operand, Rule, Sep, Terminator, Visit};
+use crate::types::Ty;
 use crate::value::{BlockId, Constant, Value};
 
 /// Renders a constant with no leading type.
@@ -55,194 +56,91 @@ fn block_label(f: &Function, bb: BlockId) -> &str {
     &f.blocks[bb.index()].name
 }
 
-/// Renders a single instruction line (without leading indentation).
+/// Renders a single instruction line (without leading indentation):
+/// the mnemonic, then the fields of [`Inst::walk`], each after a space.
 pub fn inst_to_string(f: &Function, inst: &Inst, def: Option<&str>) -> String {
     let mut s = String::new();
     if let Some(name) = def {
         let _ = write!(s, "{name} = ");
     }
-    match inst {
-        Inst::Bin {
-            op,
-            flags,
-            ty,
-            lhs,
-            rhs,
-        } => {
-            let _ = write!(s, "{op}");
-            if !flags.is_none() {
-                let _ = write!(s, " {flags}");
-            }
-            let _ = write!(
-                s,
-                " {ty} {}, {}",
-                value_to_string(f, lhs),
-                value_to_string(f, rhs)
-            );
-        }
-        Inst::Icmp { cond, ty, lhs, rhs } => {
-            let _ = write!(
-                s,
-                "icmp {cond} {ty} {}, {}",
-                value_to_string(f, lhs),
-                value_to_string(f, rhs)
-            );
-        }
-        Inst::Select {
-            cond,
-            ty,
-            tval,
-            fval,
-        } => {
-            let _ = write!(
-                s,
-                "select {} {}, {ty} {}, {ty} {}",
-                f.value_ty(cond),
-                value_to_string(f, cond),
-                value_to_string(f, tval),
-                value_to_string(f, fval)
-            );
-        }
-        Inst::Phi { ty, incoming } => {
-            let _ = write!(s, "phi {ty} ");
-            for (i, (v, bb)) in incoming.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "[ {}, %{} ]", value_to_string(f, v), block_label(f, *bb));
-            }
-        }
-        Inst::Freeze { ty, val } => {
-            let _ = write!(s, "freeze {ty} {}", value_to_string(f, val));
-        }
-        Inst::Cast {
-            kind,
-            from_ty,
-            to_ty,
-            val,
-        } => {
-            // The source type is mandatory: `zext %x to i64` would be
-            // ambiguous (the operand width is not recoverable from the
-            // line alone).
-            let _ = write!(s, "{kind} {from_ty} {} to {to_ty}", value_to_string(f, val));
-        }
-        Inst::Bitcast {
-            from_ty,
-            to_ty,
-            val,
-        } => {
-            let _ = write!(
-                s,
-                "bitcast {from_ty} {} to {to_ty}",
-                value_to_string(f, val)
-            );
-        }
-        Inst::Gep {
-            elem_ty,
-            base,
-            idx_ty,
-            idx,
-            inbounds,
-        } => {
-            let _ = write!(
-                s,
-                "getelementptr{} {elem_ty}, {elem_ty}* {}, {idx_ty} {}",
-                if *inbounds { " inbounds" } else { "" },
-                value_to_string(f, base),
-                value_to_string(f, idx)
-            );
-        }
-        Inst::Load { ty, ptr } => {
-            let _ = write!(s, "load {ty}, {ty}* {}", value_to_string(f, ptr));
-        }
-        Inst::Store { ty, val, ptr } => {
-            let _ = write!(
-                s,
-                "store {ty} {}, {ty}* {}",
-                value_to_string(f, val),
-                value_to_string(f, ptr)
-            );
-        }
-        Inst::ExtractElement {
-            elem_ty,
-            len,
-            vec,
-            idx,
-        } => {
-            let _ = write!(
-                s,
-                "extractelement <{len} x {elem_ty}> {}, {}",
-                value_to_string(f, vec),
-                typed(f, idx)
-            );
-        }
-        Inst::InsertElement {
-            elem_ty,
-            len,
-            vec,
-            elt,
-            idx,
-        } => {
-            let _ = write!(
-                s,
-                "insertelement <{len} x {elem_ty}> {}, {elem_ty} {}, {}",
-                value_to_string(f, vec),
-                value_to_string(f, elt),
-                typed(f, idx)
-            );
-        }
-        Inst::Call {
-            ret_ty,
-            callee,
-            arg_tys,
-            args,
-        } => {
-            let _ = write!(s, "call {ret_ty} @{callee}(");
-            for (i, (ty, a)) in arg_tys.iter().zip(args).enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{ty} {}", value_to_string(f, a));
-            }
-            s.push(')');
-        }
-        Inst::Alloca { ty } => {
-            let _ = write!(s, "alloca {ty}");
-        }
-        Inst::PtrToInt {
-            from_ty,
-            to_ty,
-            val,
-        } => {
-            let _ = write!(
-                s,
-                "ptrtoint {from_ty} {} to {to_ty}",
-                value_to_string(f, val)
-            );
-        }
-        Inst::IntToPtr {
-            from_ty,
-            to_ty,
-            val,
-        } => {
-            let _ = write!(
-                s,
-                "inttoptr {from_ty} {} to {to_ty}",
-                value_to_string(f, val)
-            );
-        }
-        // Guard rows of the descriptor table print generically:
-        // `<mnemonic> <ty> <fact>` (canonically `assume i1 %c`), so a
-        // new guard needs no arm here.
-        _ => {
-            debug_assert!(inst.descriptor().is_guard());
-            let _ = write!(s, "{}", inst.mnemonic());
-            inst.for_each_operand(|v| {
-                let _ = write!(s, " {}", typed(f, v));
-            });
+    s.push_str(inst.mnemonic());
+    inst.walk(&mut Fields { f, s: &mut s });
+    s
+}
+
+/// Writes the walked fields of one instruction of `f` into `s`.
+struct Fields<'a> {
+    f: &'a Function,
+    s: &'a mut String,
+}
+
+impl Fields<'_> {
+    fn value(&mut self, v: &Value) {
+        let _ = write!(self.s, "{}", value_to_string(self.f, v));
+    }
+}
+
+impl Visit for Fields<'_> {
+    // The mnemonic spells the sub-opcode, so `opcode` prints nothing.
+    fn cond(&mut self, cond: &Cond) {
+        let _ = write!(self.s, " {cond}");
+    }
+    fn flags(&mut self, flags: &Flags) {
+        if !flags.is_none() {
+            let _ = write!(self.s, " {flags}");
         }
     }
-    s
+    fn keyword(&mut self, word: &'static str, on: &bool) {
+        if *on {
+            let _ = write!(self.s, " {word}");
+        }
+    }
+    fn ty(&mut self, ty: &Ty, _: Rule) {
+        let _ = write!(self.s, " {ty}");
+    }
+    fn operand(&mut self, val: &Value, how: Operand<'_>) {
+        match how {
+            Operand::After(_) => self.s.push(' '),
+            Operand::Again(want, _) => {
+                let _ = write!(self.s, " {want} ");
+            }
+            Operand::Own(_) => {
+                let _ = write!(self.s, " {} ", self.f.value_ty(val));
+            }
+        }
+        self.value(val);
+    }
+    fn vector(&mut self, len: &u32, elem: &Ty, val: &Value) {
+        let _ = write!(self.s, " <{len} x {elem}> ");
+        self.value(val);
+    }
+    fn incoming(&mut self, _: &Ty, incoming: &Vec<(Value, BlockId)>) {
+        for (i, (v, bb)) in incoming.iter().enumerate() {
+            self.s.push_str(if i == 0 { " [ " } else { ", [ " });
+            self.value(v);
+            let _ = write!(self.s, ", %{} ]", block_label(self.f, *bb));
+        }
+    }
+    fn callee(&mut self, name: &String) {
+        let _ = write!(self.s, " @{name}");
+    }
+    fn args(&mut self, tys: &Vec<Ty>, args: &Vec<Value>) {
+        self.s.push('(');
+        for (i, (ty, a)) in tys.iter().zip(args).enumerate() {
+            if i > 0 {
+                self.s.push_str(", ");
+            }
+            let _ = write!(self.s, "{ty} ");
+            self.value(a);
+        }
+        self.s.push(')');
+    }
+    fn sep(&mut self, sep: Sep) {
+        self.s.push_str(match sep {
+            Sep::Comma => ",",
+            Sep::To => " to",
+        });
+    }
 }
 
 /// Renders a terminator line (without leading indentation).

@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::dom::DomTree;
 use crate::function::{Function, Module};
-use crate::inst::{Inst, Terminator};
+use crate::inst::{Inst, Operand, Rule, Terminator, Visit, Want};
 use crate::types::Ty;
 use crate::value::{BlockId, Constant, InstId, Value};
 
@@ -226,9 +226,9 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    fn expect_ty(&mut self, where_: &str, v: &Value, expected: &Ty) {
+    fn expect_ty(&mut self, where_: &str, v: &Value, expected: Want<'_>) {
         if let Some(actual) = self.operand_ty(where_, v) {
-            if actual != *expected {
+            if !expected.matches(&actual) {
                 self.err(format!(
                     "{where_}: expected type {expected}, found {actual}"
                 ));
@@ -249,11 +249,11 @@ impl<'a> Verifier<'a> {
             let where_ = format!("terminator of '{}'", block.name);
             match &block.term {
                 Terminator::Ret(Some(v)) => {
-                    let ret_ty = self.func.ret_ty.clone();
+                    let ret_ty = &self.func.ret_ty;
                     if ret_ty.is_void() {
                         self.err(format!("{where_}: ret with value in a void function"));
                     } else {
-                        self.expect_ty(&where_, v, &ret_ty);
+                        self.expect_ty(&where_, v, Want::Is(ret_ty));
                     }
                 }
                 Terminator::Ret(None) => {
@@ -262,45 +262,25 @@ impl<'a> Verifier<'a> {
                     }
                 }
                 Terminator::Br { cond, .. } => {
-                    self.expect_ty(&where_, cond, &Ty::i1());
+                    self.expect_ty(&where_, cond, Want::Is(&Ty::i1()));
                 }
                 Terminator::Jmp(_) | Terminator::Unreachable => {}
             }
         }
     }
 
+    /// Checks one instruction: its operand types and type-field rules
+    /// through the walk, then the rules the walk cannot state.
     fn check_inst(&mut self, id: InstId, bb: BlockId, preds: &[Vec<BlockId>]) {
-        let inst = self.func.inst(id).clone();
+        let inst = self.func.inst(id);
         let where_ = format!("{id} ({})", inst.mnemonic());
-        // Generic checks driven by the descriptor table; rows that are
-        // fully described there (the guards) need no dedicated arm in
-        // the per-variant match below.
-        let desc = inst.descriptor();
-        if desc.bool_operands {
-            for v in inst.operands() {
-                self.expect_ty(&where_, &v, &Ty::i1());
-            }
-        }
-        if let crate::inst::Arity::Fixed(n) = desc.arity {
-            debug_assert_eq!(
-                inst.operands().len(),
-                n as usize,
-                "{where_}: arity drifted from the descriptor table"
-            );
-        }
-        match &inst {
-            Inst::Bin {
-                op,
-                flags,
-                ty,
-                lhs,
-                rhs,
-            } => {
-                if !ty.scalar_ty().is_int() {
-                    self.err(format!("{where_}: operand type {ty} is not integer"));
-                }
-                self.expect_ty(&where_, lhs, ty);
-                self.expect_ty(&where_, rhs, ty);
+        inst.walk(&mut Typing {
+            v: self,
+            where_: &where_,
+            mnemonic: inst.mnemonic(),
+        });
+        match inst {
+            Inst::Bin { op, flags, .. } => {
                 if (flags.nsw || flags.nuw) && !op.supports_wrap_flags() {
                     self.err(format!("{where_}: nsw/nuw not supported by {op}"));
                 }
@@ -308,28 +288,13 @@ impl<'a> Verifier<'a> {
                     self.err(format!("{where_}: exact not supported by {op}"));
                 }
             }
-            Inst::Icmp { ty, lhs, rhs, .. } => {
-                if !ty.scalar_ty().is_int() && !ty.scalar_ty().is_ptr() {
-                    self.err(format!("{where_}: cannot compare values of type {ty}"));
-                }
-                self.expect_ty(&where_, lhs, ty);
-                self.expect_ty(&where_, rhs, ty);
+            Inst::Icmp { ty, .. } if !ty.scalar_ty().is_int() && !ty.scalar_ty().is_ptr() => {
+                self.err(format!("{where_}: cannot compare values of type {ty}"));
             }
-            Inst::Select {
-                cond,
-                ty,
-                tval,
-                fval,
-            } => {
-                self.expect_ty(&where_, cond, &Ty::i1());
-                self.expect_ty(&where_, tval, ty);
-                self.expect_ty(&where_, fval, ty);
-            }
-            Inst::Phi { ty, incoming } => {
+            Inst::Phi { incoming, .. } => {
                 let expected: HashSet<BlockId> = preds[bb.index()].iter().copied().collect();
                 let mut seen = HashSet::new();
-                for (v, from) in incoming {
-                    self.expect_ty(&where_, v, ty);
+                for (_, from) in incoming {
                     if !expected.contains(from) {
                         self.err(format!(
                             "{where_}: incoming block {from} is not a predecessor of {bb}"
@@ -347,16 +312,12 @@ impl<'a> Verifier<'a> {
                     }
                 }
             }
-            Inst::Freeze { ty, val } => {
-                self.expect_ty(&where_, val, ty);
-            }
             Inst::Cast {
                 kind,
                 from_ty,
                 to_ty,
-                val,
+                ..
             } => {
-                self.expect_ty(&where_, val, from_ty);
                 let ok = match (from_ty.scalar_ty(), to_ty.scalar_ty()) {
                     (Ty::Int(a), Ty::Int(b)) => match kind {
                         crate::inst::CastKind::Trunc => b < a,
@@ -371,112 +332,24 @@ impl<'a> Verifier<'a> {
                     ));
                 }
             }
-            Inst::Bitcast {
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                self.expect_ty(&where_, val, from_ty);
-                if from_ty.bitwidth() != to_ty.bitwidth() {
-                    self.err(format!(
-                        "{where_}: bitcast between different widths ({} vs {})",
-                        from_ty.bitwidth(),
-                        to_ty.bitwidth()
-                    ));
-                }
+            Inst::Bitcast { from_ty, to_ty, .. } if from_ty.bitwidth() != to_ty.bitwidth() => {
+                self.err(format!(
+                    "{where_}: bitcast between different widths ({} vs {})",
+                    from_ty.bitwidth(),
+                    to_ty.bitwidth()
+                ));
             }
-            Inst::Gep {
-                elem_ty,
-                base,
-                idx_ty,
-                idx,
-                ..
-            } => {
-                self.expect_ty(&where_, base, &Ty::ptr_to(elem_ty.clone()));
-                if !idx_ty.is_int() {
-                    self.err(format!(
-                        "{where_}: gep index must be an integer, got {idx_ty}"
-                    ));
-                }
-                self.expect_ty(&where_, idx, idx_ty);
+            Inst::Gep { idx_ty, .. } if !idx_ty.is_int() => {
+                self.err(format!(
+                    "{where_}: gep index must be an integer, got {idx_ty}"
+                ));
             }
-            Inst::Load { ty, ptr } => {
-                self.expect_ty(&where_, ptr, &Ty::ptr_to(ty.clone()));
-            }
-            Inst::Store { ty, val, ptr } => {
-                self.expect_ty(&where_, val, ty);
-                self.expect_ty(&where_, ptr, &Ty::ptr_to(ty.clone()));
-            }
-            Inst::ExtractElement {
-                elem_ty,
-                len,
-                vec,
-                idx,
-            } => {
-                self.expect_ty(&where_, vec, &Ty::vector(*len, elem_ty.clone()));
+            Inst::ExtractElement { len, idx, .. } | Inst::InsertElement { len, idx, .. } => {
                 self.check_lane_index(&where_, idx, *len);
             }
-            Inst::InsertElement {
-                elem_ty,
-                len,
-                vec,
-                elt,
-                idx,
-            } => {
-                self.expect_ty(&where_, vec, &Ty::vector(*len, elem_ty.clone()));
-                self.expect_ty(&where_, elt, elem_ty);
-                self.check_lane_index(&where_, idx, *len);
+            Inst::Call { args, arg_tys, .. } if args.len() != arg_tys.len() => {
+                self.err(format!("{where_}: argument count mismatch"));
             }
-            Inst::Call { args, arg_tys, .. } => {
-                if args.len() != arg_tys.len() {
-                    self.err(format!("{where_}: argument count mismatch"));
-                }
-                for (a, ty) in args.iter().zip(arg_tys) {
-                    self.expect_ty(&where_, a, ty);
-                }
-            }
-            Inst::Alloca { ty } if ty.is_void() || ty.byte_size() == 0 => {
-                self.err(format!("{where_}: cannot allocate unsized type {ty}"));
-            }
-            Inst::PtrToInt {
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                if !from_ty.is_ptr() {
-                    self.err(format!(
-                        "{where_}: ptrtoint source must be a pointer, got {from_ty}"
-                    ));
-                }
-                if *to_ty != Ty::Int(crate::types::PTR_BITS) {
-                    self.err(format!(
-                        "{where_}: ptrtoint result must be i{} (the pointer width), got {to_ty}",
-                        crate::types::PTR_BITS
-                    ));
-                }
-                self.expect_ty(&where_, val, from_ty);
-            }
-            Inst::IntToPtr {
-                from_ty,
-                to_ty,
-                val,
-            } => {
-                if *from_ty != Ty::Int(crate::types::PTR_BITS) {
-                    self.err(format!(
-                        "{where_}: inttoptr source must be i{} (the pointer width), got {from_ty}",
-                        crate::types::PTR_BITS
-                    ));
-                }
-                if !to_ty.is_ptr() {
-                    self.err(format!(
-                        "{where_}: inttoptr result must be a pointer, got {to_ty}"
-                    ));
-                }
-                self.expect_ty(&where_, val, from_ty);
-            }
-            // Instructions whose typing rules live entirely in the
-            // descriptor table (`assume`: one i1 operand, void result)
-            // were already checked generically above.
             _ => {}
         }
     }
@@ -564,6 +437,45 @@ impl<'a> Verifier<'a> {
                     &format!("terminator of '{}'", block.name),
                 );
             });
+        }
+    }
+}
+
+/// The operand-type half of [`Verifier::check_inst`]: every operand
+/// against the type the walk says it must have, every type field
+/// against its rule.
+struct Typing<'v, 'a> {
+    v: &'v mut Verifier<'a>,
+    where_: &'v str,
+    mnemonic: &'static str,
+}
+
+impl Visit for Typing<'_, '_> {
+    fn ty(&mut self, ty: &Ty, rule: Rule) {
+        if let Some(why) = rule.violation(self.mnemonic, ty) {
+            self.v.err(format!("{}: {why}", self.where_));
+        }
+    }
+    fn operand(&mut self, val: &Value, how: Operand<'_>) {
+        match how {
+            Operand::After(ty) | Operand::Own(Some(ty)) => {
+                self.v.expect_ty(self.where_, val, Want::Is(ty))
+            }
+            Operand::Again(want, _) => self.v.expect_ty(self.where_, val, want),
+            Operand::Own(None) => {}
+        }
+    }
+    fn vector(&mut self, len: &u32, elem: &Ty, val: &Value) {
+        self.v.expect_ty(self.where_, val, Want::Vector(*len, elem));
+    }
+    fn incoming(&mut self, ty: &Ty, incoming: &Vec<(Value, BlockId)>) {
+        for (val, _) in incoming {
+            self.v.expect_ty(self.where_, val, Want::Is(ty));
+        }
+    }
+    fn args(&mut self, tys: &Vec<Ty>, args: &Vec<Value>) {
+        for (val, ty) in args.iter().zip(tys) {
+            self.v.expect_ty(self.where_, val, Want::Is(ty));
         }
     }
 }

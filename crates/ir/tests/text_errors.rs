@@ -245,6 +245,32 @@ fn unreachable_takes_no_operands() {
     assert_eq!(err.line, 3);
 }
 
+// ---- one statement per line ----------------------------------------
+
+#[test]
+fn definition_after_an_instruction_on_its_line() {
+    // The pre-scan numbers statements line by line, so a second
+    // definition on the line would get the wrong id.
+    let src = "define i2 @f(i2 %x) {\nentry:\n  %a = add i2 %x, 1 %b = mul i2 %x, 0\n  \
+               %c = add i2 %a, 1\n  ret i2 %c\n}";
+    let err = expect_error(src, "a statement must end its line", "%b = mul i2 %x, 0");
+    assert_eq!((err.line, err.column), (3, 21));
+}
+
+#[test]
+fn label_after_a_terminator_on_its_line() {
+    let src = "define i32 @f() {\nentry:\n  ret i32 0 b:\n}";
+    let err = expect_error(src, "a statement must end its line", "b:");
+    assert_eq!((err.line, err.column), (3, 13));
+}
+
+#[test]
+fn vector_length_must_fit_in_u32() {
+    let src = "define void @f(<4294967296 x i8> %v) {\nentry:\n  ret void\n}";
+    let err = expect_error(src, "expected a positive vector length", "4294967296");
+    assert_eq!((err.line, err.column), (1, 17));
+}
+
 /// Canonical printing of both guards, pinned: `assume` as a bare
 /// (void, unnamed) statement, `unreachable` as a terminator — and the
 /// printed form reparses to the identical canonical text.

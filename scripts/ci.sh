@@ -224,7 +224,7 @@ echo "==> doc examples parse (README / IR_REFERENCE / DESIGN + examples/*.fir)"
 # checker, so the gate needs no extra tooling.
 cargo test -q --release -p frost-ir --test doc_examples
 
-echo "==> repro --input smoke (5.4 load widening, callee swap, freeze removal, store swap)"
+echo "==> repro --input smoke (5.4 load widening, callee swap, freeze removal, store swap, malformed modules)"
 # The sound vector widening and the intentionally-UNSOUND scalar one
 # must both run to a verdict (exit 0 — verdicts are results, not
 # errors) and land on the expected sides.
@@ -277,6 +277,27 @@ grep -q "@f -> @f.tgt: UNSOUND" input-ci.out &&
     exit 1
 }
 rm -f input-ci.out input-ce.out input-ce-expected.out
+# Malformed modules are errors, not panics: a definition after an
+# instruction on its line, a label after a terminator on its line, and
+# a vector length past u32. Each must exit 1 with a diagnostic.
+bad=$(mktemp)
+bad_input() {
+    printf '%s\n' "$@" >"$bad"
+    status=0
+    cargo run -q --release -p frost-bench --bin repro -- \
+        --input "$bad" >/dev/null 2>"$bad.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "error:" "$bad.err"; then
+        echo "ci: a malformed module must exit 1 with an error (exit $status):" >&2
+        cat "$bad" "$bad.err" >&2
+        exit 1
+    fi
+}
+bad_input 'define i2 @f(i2 %x) {' 'entry:' '  %a = add i2 %x, 1 %b = mul i2 %x, 0' \
+    '  %c = add i2 %a, 1' '  ret i2 %c' '}'
+bad_input 'define i32 @f() {' 'entry:' '  ret i32 0 b:' '}'
+bad_input 'define i8 @f(<4294967296 x i8> %v) {' 'entry:' \
+    '  %e = extractelement <4294967296 x i8> %v, i32 0' '  ret i8 %e' '}'
+rm -f "$bad" "$bad.err"
 
 echo "==> checkpoint kill/resume determinism smoke"
 # Interrupt a small sweep mid-flight with a tight budget, resume it
