@@ -38,10 +38,33 @@
 //! schema and exits (0 valid, 1 malformed). The `FROST_TRACE` env var
 //! also enables tracing, for processes whose flags you don't control.
 
+use std::io::Write as _;
+
 use frost_bench::{counters_table, experiments, profile_table, Domain};
 
 /// Rows shown by the `--trace` profile table.
 const PROFILE_TOP_K: usize = 15;
+
+/// `println!` for everything repro prints on stdout, through [`say`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A reader that stops early (`repro ... |
+/// head -1`) closes the pipe; repro then has nothing left to say and
+/// ends quietly with status 0, where `println!` would panic.
+fn say(line: std::fmt::Arguments) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn validate_trace_file(path: &str) -> ! {
     let text = match std::fs::read_to_string(path) {
@@ -53,7 +76,7 @@ fn validate_trace_file(path: &str) -> ! {
     };
     match frost_telemetry::validate_jsonl(&text) {
         Ok(stats) => {
-            println!(
+            say!(
                 "{path}: valid ({} lines: {} starts, {} stops, {} points, {} bench, \
                  {} unmatched, {} span keys)",
                 stats.lines,
@@ -202,7 +225,7 @@ fn main() {
                 validate_trace_file(path);
             }
             "--help" | "-h" => {
-                println!(
+                say!(
                     "usage: repro [--experiment fig6|compile-time|memory|objsize|optfuzz|\
                      inconsistencies|widening|loadwiden|queens|roundtrip|sweep|all] [--quick] \
                      [--budget N]\n\
@@ -260,7 +283,7 @@ fn main() {
     if let Some(path) = input {
         match frost_bench::run_input(&path) {
             Ok(report) => {
-                println!("{report}");
+                say!("{report}");
                 return;
             }
             Err(e) => {
@@ -284,7 +307,7 @@ fn main() {
     };
     let mut failures = 0;
     let mut print = |r: Result<frost_bench::Table, frost_core::FrostError>| match r {
-        Ok(t) => println!("{t}"),
+        Ok(t) => say!("{t}"),
         Err(e) => {
             eprintln!("experiment failed: {e}");
             failures += 1;
@@ -292,17 +315,17 @@ fn main() {
     };
 
     if run("inconsistencies") {
-        println!("{}", experiments::inconsistencies());
+        say!("{}", experiments::inconsistencies());
     }
     if run("optfuzz") {
-        println!("{}", experiments::optfuzz(budget));
+        say!("{}", experiments::optfuzz(budget));
     }
     // Explicit-only: minutes of work, meant for ci.sh and releases.
     if experiment == "roundtrip" && run("roundtrip") {
         match experiments::roundtrip(fuzz, quick) {
             Ok((t, summary)) => {
-                println!("{t}");
-                println!("{summary}");
+                say!("{t}");
+                say!("{summary}");
             }
             Err(e) => print(Err(e)),
         }
@@ -342,8 +365,8 @@ fn main() {
         };
         match result {
             Ok((t, summary)) => {
-                println!("{t}");
-                println!("{summary}");
+                say!("{t}");
+                say!("{summary}");
             }
             Err(e) => print(Err(e)),
         }
@@ -375,7 +398,7 @@ fn main() {
     }
 
     if let Some(before) = before {
-        println!(
+        say!(
             "{}",
             counters_table(&frost_telemetry::snapshot().delta(&before))
         );
@@ -391,8 +414,8 @@ fn main() {
         }
         match frost_telemetry::validate_jsonl(&jsonl) {
             Ok(stats) => {
-                println!("{}", profile_table(&stats, PROFILE_TOP_K));
-                println!(
+                say!("{}", profile_table(&stats, PROFILE_TOP_K));
+                say!(
                     "wrote {path}: {} events ({} dropped by the ring buffer)",
                     stats.lines,
                     frost_telemetry::dropped_events()

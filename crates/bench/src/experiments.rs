@@ -631,7 +631,8 @@ fn sweep_summary(cp: &CampaignCheckpoint) -> String {
 /// by `frost_telemetry::validate_jsonl`. `space_estimate`
 /// ([`frost_fuzz::ExhaustiveFunctions::approx_size`]) rides as a
 /// decimal string (the 3-instruction space overflows a double);
-/// throughput, wall-clock and `peak_rss_mb` are this run's, tallies
+/// throughput, wall-clock, `peak_rss_mb` and the counter deltas
+/// (`plan_runs`, `plan_shared` and the rest) are this run's, tallies
 /// are cumulative. `domain` is [`Domain::label`].
 fn sweep_bench_json(
     domain: Domain,
@@ -671,6 +672,8 @@ fn sweep_bench_json(
     record
         .field("cache_hits", stats.cache_hits)
         .field("cache_misses", stats.cache_misses)
+        .field("plan_runs", delta.counter("frost.core.plan.runs"))
+        .field("plan_shared", delta.counter("frost.core.plan.shared"))
         .field(
             "tuples_per_pass",
             round(tuples as f64 / bitslice_passes.max(1) as f64, 1),

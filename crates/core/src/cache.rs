@@ -11,9 +11,11 @@
 //! semantics — every input tuple under every candidate initial memory
 //! in one entry — so each distinct (function shape, semantics)
 //! combination is enumerated exactly once per campaign, with one probe
-//! per check side. A bit-sliced entry is its lane masks (twelve words
-//! plus one final-memory snapshot per memory), not one outcome set per
-//! tuple.
+//! per check side. An entry holds no memory list: a bit-sliced one is its
+//! lane masks (twelve words), and a plan one is its distinct runs plus
+//! one run index per (memory, tuple) pair — a memory that agrees with
+//! another on every byte a run touched shares that run. Either is read
+//! back against the caller's memory list ([`Batch::pair`]).
 //!
 //! ## Cache key
 //!
@@ -123,8 +125,8 @@ impl OutcomeCache {
     }
 
     /// The one-memory case of [`OutcomeCache::enumerate_keyed_mems`],
-    /// whose docs cover `salt`, `store` and `fkey`, materialized per
-    /// tuple ([`Batch::into_pairs`]).
+    /// whose docs cover `salt`, `store` and `fkey`, read back per tuple
+    /// ([`Batch::pairs`]).
     // perfbench (perfbench/src/layers.rs) calls this with these ten
     // arguments, so the signature stays until that caller changes.
     #[allow(clippy::too_many_arguments)]
@@ -141,19 +143,11 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
+        let mems = std::slice::from_ref(mem);
         let batch = self.enumerate_keyed_mems(
-            fkey,
-            module,
-            name,
-            inputs,
-            std::slice::from_ref(mem),
-            sem,
-            limits,
-            engine,
-            salt,
-            store,
+            fkey, module, name, inputs, mems, sem, limits, engine, salt, store,
         );
-        Arc::new(Arc::unwrap_or_clone(batch).into_pairs())
+        Arc::new(batch.pairs(mems))
     }
 
     /// Memoized [`enumerate_function_mems`]: every (memory, input) pair
@@ -165,7 +159,10 @@ impl OutcomeCache {
     /// when it is a function of the inputs' block shape, the input
     /// options, and the semantics' uninitialized fill — as every
     /// checker's is: the block shape and options are in the salt, and
-    /// the semantics is in the key.
+    /// the semantics is in the key. A stored batch holds run indices
+    /// into the memory list it was enumerated on, so a hit is read back
+    /// against the prober's `mems`, which that contract makes the same
+    /// list in content.
     ///
     /// `store = false` is for *transient* functions — exhaustive-sweep
     /// sources, which the odometer visits exactly once. The probe still
@@ -340,7 +337,7 @@ mod tests {
         for engine in [Engine::Plan, Engine::Auto] {
             assert!(Arc::ptr_eq(&stored(engine), &stored(engine)), "{engine:?}");
         }
-        assert_eq!(stored(Engine::Auto).pairs().as_ref(), fresh.as_slice());
+        assert_eq!(stored(Engine::Auto).pairs(&[Memory::zeroed(0)]), fresh);
     }
 
     #[test]

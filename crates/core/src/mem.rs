@@ -285,6 +285,77 @@ impl MemState {
             .flat_map(|b| b.bits.iter().copied())
             .collect()
     }
+
+    /// The initial-region bytes a `width_bits`-wide access through `p`
+    /// covers, as a mask over [`snapshot`](Self::snapshot) byte
+    /// positions (bit `i` is byte `i`): 0 for an access that is out of
+    /// bounds or lands in an `alloca`'d block, every bit for one that
+    /// reaches past byte 63.
+    pub(crate) fn initial_bytes(&self, p: Ptr, width_bits: u32) -> u64 {
+        let Some((block, off)) = self.locate(p, width_bits) else {
+            return 0;
+        };
+        if block >= self.n_initial as usize {
+            return 0;
+        }
+        let start = self.blocks[..block]
+            .iter()
+            .map(|b| b.bits.len())
+            .sum::<usize>()
+            + off;
+        let end = (start + width_bits as usize).div_ceil(8);
+        if end > 64 {
+            return u64::MAX;
+        }
+        let below = |n: usize| u64::MAX.checked_shr(64 - n as u32).unwrap_or(0);
+        below(end) & !below(start / 8)
+    }
+
+    /// Whether `other` has this memory's blocks, block sizes and phase,
+    /// and no block beyond the initial ones: then a program sees a
+    /// difference between the two only through the bytes it loads.
+    pub(crate) fn same_layout(&self, other: &MemState) -> bool {
+        self.n_initial as usize == self.blocks.len()
+            && self.n_initial == other.n_initial
+            && self.phase == other.phase
+            && self.blocks.len() == other.blocks.len()
+            && self
+                .blocks
+                .iter()
+                .zip(&other.blocks)
+                .all(|(a, b)| a.bits.len() == b.bits.len())
+    }
+
+    /// The eight bits of initial-region byte `pos`, a
+    /// [`snapshot`](Self::snapshot) byte position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` lies past the initial blocks.
+    pub(crate) fn initial_byte(&self, pos: usize) -> &[Bit] {
+        let mut off = pos * 8;
+        for b in &self.blocks[..self.n_initial as usize] {
+            if off < b.bits.len() {
+                return &b.bits[off..off + 8];
+            }
+            off -= b.bits.len();
+        }
+        panic!("byte {pos} lies past the initial blocks")
+    }
+
+    /// Overwrites every byte of `snapshot`, a [`snapshot`](Self::snapshot)
+    /// of a memory with this one's layout, that lies outside `mask` with
+    /// this memory's byte. Bytes past 63 are left alone.
+    pub(crate) fn fill_outside(&self, snapshot: &mut [Bit], mask: u64) {
+        let own = self.blocks[..self.n_initial as usize]
+            .iter()
+            .flat_map(|b| b.bits.chunks(8));
+        for (pos, (dst, src)) in snapshot.chunks_mut(8).zip(own).take(64).enumerate() {
+            if mask >> pos & 1 == 0 {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
 }
 
 /// The always-on memory counters (`frost.core.mem.*`; see

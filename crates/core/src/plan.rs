@@ -24,6 +24,10 @@
 //!   snapshots the machine at every choice point and resumes siblings
 //!   from the snapshot instead of re-executing the deterministic prefix
 //!   (the reference driver restarts from scratch per script).
+//! * **Touched bytes.** The machine records which initial-region bytes
+//!   any branch of an enumeration loads or stores, so
+//!   [`crate::engine`] can answer every initial memory that agrees
+//!   with a run on those bytes from that one run.
 //!
 //! Every observable behavior — outcome sets, step accounting, limit
 //! errors, even the DFS order that decides *which* error an aborting
@@ -829,6 +833,9 @@ pub struct Machine {
     pc: u32,
     steps: u64,
     next_choice: usize,
+    /// The initial-region bytes every branch so far loaded or stored
+    /// ([`Memory::initial_bytes`]); survives [`Machine::restore`].
+    touched: u64,
 }
 
 /// Everything [`Machine::restore`] needs to transport the machine back
@@ -862,6 +869,16 @@ impl Machine {
         self.pc = 0;
         self.steps = 0;
         self.next_choice = 0;
+        self.touched = 0;
+    }
+
+    /// The initial-region bytes, as a mask over
+    /// [`Memory::snapshot`] byte positions, that any branch of the last
+    /// enumeration loaded or stored. A memory that agrees with that
+    /// run's on these bytes has the same outcomes, except that its own
+    /// bytes stand in for the run's everywhere else.
+    pub(crate) fn touched(&self) -> u64 {
+        self.touched
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -1283,6 +1300,7 @@ impl Exec<'_> {
                     return Err(Exc::Ub);
                 };
                 let mem = self.m.mem.as_ref().unwrap_or(self.init_mem);
+                self.m.touched |= mem.initial_bytes(p, *width);
                 match mem.load_ptr(p, *width) {
                     Some(bits) => {
                         let v = raise(ty, &bits);
@@ -1301,6 +1319,9 @@ impl Exec<'_> {
                 // First store of the run: fault in a private copy of
                 // the initial memory.
                 let mem = self.m.mem.get_or_insert_with(|| self.init_mem.clone());
+                // A store counts even when it writes what was there: a
+                // sibling branch may leave the byte alone.
+                self.m.touched |= mem.initial_bytes(p, bits.len() as u32);
                 if !mem.store_ptr(p, &bits) {
                     return Err(Exc::Ub);
                 }
@@ -1614,18 +1635,22 @@ fn vector_elems(v: &Val, len: usize) -> Vec<Val> {
 /// docs/OBSERVABILITY.md). Under parallel campaigns two workers may
 /// race a cache key and both compile/run, so these are throughput
 /// telemetry, not a determinism surface — like `frost.core.cache.*`.
-struct PlanCounters {
+pub(crate) struct PlanCounters {
     compiles: &'static frost_telemetry::Counter,
     runs: &'static frost_telemetry::Counter,
     resumed_prefix_insts: &'static frost_telemetry::Counter,
+    /// (memory, tuple) pairs answered from another memory's run
+    /// ([`crate::engine`]), with no run made.
+    pub(crate) shared: &'static frost_telemetry::Counter,
 }
 
-fn plan_counters() -> &'static PlanCounters {
+pub(crate) fn plan_counters() -> &'static PlanCounters {
     static COUNTERS: OnceLock<PlanCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| PlanCounters {
         compiles: frost_telemetry::counter("frost.core.plan.compiles"),
         runs: frost_telemetry::counter("frost.core.plan.runs"),
         resumed_prefix_insts: frost_telemetry::counter("frost.core.plan.resumed_prefix_insts"),
+        shared: frost_telemetry::counter("frost.core.plan.shared"),
     })
 }
 

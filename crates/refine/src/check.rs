@@ -17,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 use frost_telemetry::Counter;
 
 use frost_core::{
-    enumerate_function_mems, is_self_contained, uninit_fill, Batch, Bit, Engine, Limits, Outcome,
-    OutcomeCache, OutcomeSet, Semantics, Val,
+    enumerate_function_mems, is_self_contained, uninit_fill, Batch, Bit, Engine, FastHashSet,
+    Limits, Outcome, OutcomeCache, OutcomeSet, Semantics, Val,
 };
 use frost_ir::{Function, FunctionKey, Module};
 
@@ -456,13 +456,13 @@ fn check_impl(
             opts.tgt_sem,
             store_src,
         );
-        let Batch::Pairs(all) = all.as_ref() else {
+        let Batch::Pairs { runs, index } = all.as_ref() else {
             return CheckResult::Refines;
         };
-        let failed = all
+        let failed = index
             .iter()
             .enumerate()
-            .find_map(|(j, r)| Some((j, r.as_ref().err()?)));
+            .find_map(|(j, &r)| Some((j, runs[r as usize].result.as_ref().err()?)));
         return match failed {
             Some((j, e)) => inconclusive(e, &tuples[j % tuples.len()], "source"),
             None => CheckResult::Refines,
@@ -478,7 +478,7 @@ fn check_impl(
         store_src,
     );
     let tgt_all = batch(&tgt_key, tgt_module, tgt_fn, mems.tgt(), opts.tgt_sem, true);
-    compare(&src_all, &tgt_all, tuples, block_sizes, |mi| {
+    compare(&src_all, &tgt_all, tuples, block_sizes, &mems, |mi| {
         opts.inputs
             .memory_values
             .then(|| render_blocks(&mems.src()[mi].snapshot(), block_sizes))
@@ -502,8 +502,8 @@ fn mem_space_too_large() -> CheckResult {
 
 /// The verdict of two batches in the sequential checker's order —
 /// memories outermost, tuples inner — or `None` if every pair refines.
-/// `initial_mem(mi)` describes memory `mi`; it runs only for the
-/// violation returned.
+/// Each batch is read back against its side of `mems`; `initial_mem(mi)`
+/// describes memory `mi`, and runs only for the violation returned.
 ///
 /// Two lane batches over the same tuples whose return widths agree are
 /// compared in lane masks ([`lanes_unjustified`]): the lowest bad lane
@@ -511,33 +511,39 @@ fn mem_space_too_large() -> CheckResult {
 /// only that lane is materialized. Any other pair of batches is
 /// compared set by set, and counted under
 /// `frost.refine.compare.materialized`.
+///
+/// When both sides' lists hold the same memories
+/// ([`CheckMemories::same_contents`]), a pair's verdict depends only on
+/// its tuple's (source run, target run) combination: on a byte either
+/// run touched, every memory that run answers agrees with the memory
+/// it was made on, and on any other byte both sides read back the
+/// pair's own memory, which refines itself. So each combination is
+/// decided once, at its first pair, which is where the per-pair loop
+/// would first meet it; the first violation, and the input an
+/// inconclusive verdict blames, stay the per-pair loop's.
 fn compare(
     src: &Batch,
     tgt: &Batch,
     tuples: &[Vec<Val>],
     block_sizes: &[u32],
+    mems: &CheckMemories,
     initial_mem: impl FnOnce(usize) -> Option<String>,
 ) -> Option<CheckResult> {
-    if let (
-        Batch::Lanes {
-            lanes: s,
-            mems: src_mems,
-        },
-        Batch::Lanes {
-            lanes: t,
-            mems: tgt_mems,
-        },
-    ) = (src, tgt)
-    {
+    let (src_mems, tgt_mems) = (mems.src(), mems.tgt());
+    let same = mems.same_contents();
+    if let (Batch::Lanes(s), Batch::Lanes(t)) = (src, tgt) {
         // Width 0 is `void` or a returned poison constant: no value or
         // undef code, the only ones whose meaning depends on the width.
         let (sw, tw) = (s.ret_bits(), t.ret_bits());
         if s.lanes() == t.lanes() && (sw == tw || sw == 0 || tw == 0) {
-            for (mi, (sm, tm)) in src_mems.iter().zip(tgt_mems).enumerate() {
-                let bad = lanes_unjustified(t, s, mem_refines(tm, sm));
+            // Equal memories refine each other: the first one decides.
+            let decisive = if same { 1 } else { src_mems.len() };
+            for (mi, (sm, tm)) in src_mems.iter().zip(tgt_mems).take(decisive).enumerate() {
+                let (sm, tm) = (sm.snapshot(), tm.snapshot());
+                let bad = lanes_unjustified(t, s, mem_refines(&tm, &sm));
                 if bad != 0 {
                     let l = bad.trailing_zeros() as usize;
-                    let (src, tgt) = (s.outcomes(l, sm), t.outcomes(l, tm));
+                    let (src, tgt) = (s.outcomes(l, &sm), t.outcomes(l, &tm));
                     let mem = initial_mem(mi);
                     return Some(violation(&tuples[l], mem, src, tgt, block_sizes));
                 }
@@ -546,28 +552,30 @@ fn compare(
         }
     }
     refine_counters().materialized.incr();
-    let (src_all, tgt_all) = (src.pairs(), tgt.pairs());
-    let per_mem = src_all
-        .chunks(tuples.len())
-        .zip(tgt_all.chunks(tuples.len()));
-    for (mi, (src_mem, tgt_mem)) in per_mem.enumerate() {
-        for ((args, src), tgt) in tuples.iter().zip(src_mem).zip(tgt_mem) {
-            let src = match src {
-                Ok(s) => s,
-                Err(e) => return Some(inconclusive(e, args, "source")),
-            };
-            if src.may_ub() {
-                continue; // source UB grants total freedom on this input
-            }
-            let tgt = match tgt {
-                Ok(s) => s,
-                Err(e) => return Some(inconclusive(e, args, "target")),
-            };
-            if !set_refines(tgt, src) {
-                let mem = initial_mem(mi);
-                let (src, tgt) = (src.clone(), tgt.clone());
-                return Some(violation(args, mem, src, tgt, block_sizes));
-            }
+    let n = tuples.len();
+    let mut decided = FastHashSet::default();
+    for pair in 0..src_mems.len() * n {
+        let args = &tuples[pair % n];
+        if same && !decided.insert((src.run_index(pair), tgt.run_index(pair), pair % n)) {
+            continue;
+        }
+        let src_pair = src.pair(src_mems, pair);
+        let src = match src_pair.as_ref() {
+            Ok(s) => s,
+            Err(e) => return Some(inconclusive(e, args, "source")),
+        };
+        if src.may_ub() {
+            continue; // source UB grants total freedom on this input
+        }
+        let tgt_pair = tgt.pair(tgt_mems, pair);
+        let tgt = match tgt_pair.as_ref() {
+            Ok(s) => s,
+            Err(e) => return Some(inconclusive(e, args, "target")),
+        };
+        if !set_refines(tgt, src) {
+            let mem = initial_mem(pair / n);
+            let (src, tgt) = (src.clone(), tgt.clone());
+            return Some(violation(args, mem, src, tgt, block_sizes));
         }
     }
     None
@@ -842,6 +850,56 @@ mod tests {
         check_refinement_cached(&sm, "f", &tm, "f", &opts, &cache).assert_refines();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.hits() + cache.misses(), 2);
+    }
+
+    /// A store on one branch only must count among the bytes a run
+    /// touches. On memory 0 the store rewrites the byte already there,
+    /// so that run has one outcome; were only loads recorded, it would
+    /// answer every memory, and removing the store would refine.
+    #[test]
+    fn a_store_on_one_branch_is_touched_for_every_memory() {
+        use crate::inputs::{enumerate_inputs, enumerate_memories};
+        use frost_core::{enumerate_function_mems, Limits};
+        let f = "define void @f(i8* %p) {\nentry:\n  %c = freeze i1 poison\n  \
+                 br i1 %c, label %s, label %done\ns:\n  store i8 0, i8* %p\n  \
+                 br label %done\ndone:\n  ret void\n}";
+        let sm = parse_module("define void @f(i8* %p) {\nentry:\n  ret void\n}").unwrap();
+        let tm = parse_module(f).unwrap();
+        let sem = Semantics::proposed();
+        // A poison pointer makes the store UB on every memory; leave it
+        // out so the verdict hinges on the initial memory.
+        let inputs = InputOptions::new()
+            .with_poison(false)
+            .with_memory_values(true);
+        let (tuples, blocks) = enumerate_inputs(tm.function("f").unwrap(), &inputs).unwrap();
+        let mems = enumerate_memories(&blocks, &inputs, uninit_fill(&sem)).unwrap();
+        let run = |engine| {
+            let all =
+                enumerate_function_mems(&tm, "f", &tuples, &mems, sem, Limits::default(), engine);
+            all.pairs(&mems)
+        };
+        let reference = run(Engine::Reference);
+        // Memory-major, byte 0 varying fastest over {0x00, 0x01, 0xFF,
+        // poison}: memory 0 is all 0x00.
+        for (mi, pair) in reference.iter().enumerate() {
+            let want = if mi % 4 == 0 { 1 } else { 2 };
+            assert_eq!(pair.as_ref().unwrap().len(), want, "memory {mi}");
+        }
+        for engine in [Engine::Plan, Engine::Auto] {
+            assert_eq!(run(engine), reference, "{engine:?}");
+        }
+        let opts = CheckOptions::new(sem).with_inputs(inputs);
+        let cache = OutcomeCache::new();
+        let cached = check_refinement_cached(&sm, "f", &tm, "f", &opts, &cache);
+        let oracle = check_refinement(&sm, "f", &tm, "f", &opts.engine(Engine::Reference));
+        let ce = oracle
+            .counterexample()
+            .expect("the store can change byte 0");
+        assert_eq!(
+            ce.initial_mem.as_deref(),
+            Some("b0 = [0x01 0x00 0x00 0x00]")
+        );
+        assert_eq!(format!("{cached:?}"), format!("{oracle:?}"));
     }
 
     #[test]

@@ -320,10 +320,31 @@ pub(crate) enum CheckMemories {
     Single([Memory; 2]),
     /// The enumerated contents of each side (source, target), shared
     /// through a process-wide memo.
-    Enumerated(Arc<[Vec<Memory>; 2]>),
+    Enumerated(Arc<EnumeratedMemories>),
+}
+
+/// A memo entry of [`check_memories`].
+pub(crate) struct EnumeratedMemories {
+    /// Source and target lists.
+    sides: [Vec<Memory>; 2],
+    /// Whether the two lists are equal memory by memory, worked out
+    /// once per entry.
+    same: bool,
 }
 
 impl CheckMemories {
+    /// Whether the two sides' lists hold equal memories index by index,
+    /// so that a pair's verdict depends only on the runs answering it.
+    /// Contents enumerated, every byte is set and the fills never show.
+    /// A single memory per side leaves nothing to share, and answers
+    /// `false`.
+    pub(crate) fn same_contents(&self) -> bool {
+        match self {
+            CheckMemories::Single(_) => false,
+            CheckMemories::Enumerated(m) => m.same,
+        }
+    }
+
     /// The source side's memories.
     pub(crate) fn src(&self) -> &[Memory] {
         self.side(0)
@@ -337,14 +358,14 @@ impl CheckMemories {
     fn side(&self, i: usize) -> &[Memory] {
         match self {
             CheckMemories::Single(m) => std::slice::from_ref(&m[i]),
-            CheckMemories::Enumerated(m) => &m[i],
+            CheckMemories::Enumerated(m) => &m.sides[i],
         }
     }
 }
 
 /// Memo table type: block shape + options + both fills → both sides'
 /// memory lists (or the memoized failure).
-type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions, Bit, Bit), Option<Arc<[Vec<Memory>; 2]>>>;
+type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions, Bit, Bit), Option<Arc<EnumeratedMemories>>>;
 
 fn memory_memo() -> &'static Mutex<MemoryMemo> {
     static MEMO: OnceLock<Mutex<MemoryMemo>> = OnceLock::new();
@@ -359,7 +380,9 @@ fn memory_memo() -> &'static Mutex<MemoryMemo> {
 /// memories each) are memoized per (block shape, options, fills), like
 /// [`enumerate_inputs_cached`]: every check of a memory sweep shares
 /// one pair of lists instead of rebuilding hundreds of images, and the
-/// memo keeps each shape's lists for the life of the process. Without
+/// memo keeps each shape's lists for the life of the process. Whether
+/// the two lists are equal ([`CheckMemories::same_contents`]) is worked
+/// out here too, once per entry rather than once per check. Without
 /// it each side has one memory, built in place: no lock, no list.
 pub(crate) fn check_memories(
     block_sizes: &[u32],
@@ -382,7 +405,11 @@ pub(crate) fn check_memories(
     let computed = enumerate_memories(block_sizes, opts, src_fill).map(|src| {
         let tgt = enumerate_memories(block_sizes, opts, tgt_fill)
             .expect("target memory shape matches the source's");
-        Arc::new([src, tgt])
+        let same = src == tgt;
+        Arc::new(EnumeratedMemories {
+            sides: [src, tgt],
+            same,
+        })
     });
     memory_memo()
         .lock()

@@ -26,12 +26,20 @@ echo "==> plan-vs-reference differential smoke (tests/exec_plan.rs)"
 # interpreter from silently rotting.
 cargo test -q --release -p frost --test exec_plan differential_smoke
 
-echo "==> tiny-memory differential gate (tests/exec_plan.rs)"
+echo "==> tiny-memory differential gate (tests/exec_plan.rs, frost-refine)"
 # Memory programs (alloca/load/store/gep/int<->ptr casts) through both
-# engines, crossed against every <=2-byte initial memory — outcome
-# sets must be byte-identical, including deferred-vs-immediate OOB UB.
+# engines under both semantics, crossed against every <=2-byte initial
+# memory — outcome sets must be byte-identical, including
+# deferred-vs-immediate OOB UB. Shared runs (one plan run answering
+# every memory that agrees on the bytes it touched) must give the
+# unshared reference checker's verdict text over the whole 3-inst
+# memory space, and a store on one branch must count as touched.
 cargo test -q --release -p frost --test exec_plan \
     memory_programs_match_reference_over_every_tiny_memory
+cargo test -q --release -p frost --test exec_plan \
+    shared_runs_give_the_reference_verdict_text_over_memories
+cargo test -q --release -p frost-refine --lib \
+    a_store_on_one_branch_is_touched_for_every_memory
 
 echo "==> telemetry smoke (docs/OBSERVABILITY.md contract)"
 # The quickstart with tracing on must produce a non-empty, schema-valid
@@ -89,9 +97,9 @@ echo "==> memory-domain exhaustive sweep (4-inst, every initial memory)"
 # The block-based memory domain enters the perf trajectory: the whole
 # 4-instruction memory-program space (alloca/load/store/gep/casts ×
 # every {0x00,0x01,0xFF,poison} initial memory) through the fixed
-# alias-aware GVN must complete with zero violations (~11 s on 2
-# cores), and its BENCH_mem.json record must pass the telemetry
-# validator. Its summary must equal the EXPERIMENTS.md row byte for
+# alias-aware GVN must complete with zero violations (0.6 s on 2
+# vCPU; 8.5-10.2 s before runs were shared across memories), and its
+# BENCH_mem.json record must pass the telemetry validator. Its summary must equal the EXPERIMENTS.md row byte for
 # byte, so a verdict flip anywhere in the space fails the gate.
 rm -f BENCH_mem.json
 cargo run -q --release -p frost-bench --bin repro -- \
@@ -117,6 +125,32 @@ cmp sweep-mem-summary.out sweep-mem-expected.out || {
 cargo run -q --release -p frost-bench --bin repro -- \
     --validate-trace BENCH_mem.json
 rm -f sweep-mem-ci.out sweep-mem-summary.out sweep-mem-expected.out
+
+echo "==> memory-domain exhaustive sweep (5-inst, every initial memory)"
+# The same gate one instruction deeper: 869,113 memory programs, each
+# over all 256 initial memories (19.5 s and 101 MB peak RSS on 2
+# vCPU; 255 s and 2.4 GB before runs were shared across memories).
+# Its summary must equal the EXPERIMENTS.md line byte for byte.
+rm -f BENCH_mem5.json
+cargo run -q --release -p frost-bench --bin repro -- \
+    --experiment sweep --mem --insts 5 --seconds 600 \
+    --bench-json BENCH_mem5.json \
+    | tee sweep-mem5-ci.out
+grep -q "complete=true" sweep-mem5-ci.out || {
+    echo "ci: 5-inst memory sweep did not complete within budget" >&2
+    exit 1
+}
+grep "^sweep:" sweep-mem5-ci.out > sweep-mem5-summary.out
+echo "sweep: checked=869113 changed=741726 refined=869113 violations=0 inconclusive=0 complete=true" \
+    > sweep-mem5-expected.out
+cmp sweep-mem5-summary.out sweep-mem5-expected.out || {
+    echo "ci: 5-inst memory sweep summary diverges from EXPERIMENTS.md" >&2
+    diff sweep-mem5-summary.out sweep-mem5-expected.out >&2 || true
+    exit 1
+}
+cargo run -q --release -p frost-bench --bin repro -- \
+    --validate-trace BENCH_mem5.json
+rm -f sweep-mem5-ci.out sweep-mem5-summary.out sweep-mem5-expected.out
 
 echo "==> guarded-program exhaustive sweep (2-inst, assume/unreachable)"
 # The guarded domain: every 2-instruction program over raw, compared,

@@ -152,7 +152,7 @@ fn lane_checker_matches_set_checker_on_function_pairs() {
                 Engine::Auto,
             );
             assert_eq!(
-                matches!(batch, Batch::Lanes { .. }),
+                matches!(batch, Batch::Lanes(_)),
                 f.name != "guarded",
                 "only the guarded side leaves lanes:\n{f}"
             );

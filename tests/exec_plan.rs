@@ -82,19 +82,27 @@ fn section6_select_space_stride_matches_reference() {
 }
 
 /// The tiny-memory differential gate run by ci.sh: memory programs
-/// (alloca, load, store, gep, the int↔ptr casts) through both engines,
-/// with every argument tuple crossed against **every** ≤2-byte initial
-/// memory — each byte of the pointer parameter's block ranges over the
-/// reduced alphabet {0x00, 0x01, 0xFF, poison}. Outcome sets must be
-/// byte-identical, including deferred-UB poison and immediate-UB
-/// verdicts from out-of-bounds accesses. The batched entry
-/// (`enumerate_function_mems`, every memory in one call) must return
-/// the same per-(memory, tuple) results, memory-major, under every
-/// engine; the strict bit-sliced one refuses each pair instead.
+/// (alloca, load, store, gep, the int↔ptr casts) through both engines
+/// under both semantics, with every argument tuple crossed against
+/// **every** ≤2-byte initial memory — each byte of the pointer
+/// parameter's block ranges over the reduced alphabet {0x00, 0x01,
+/// 0xFF, poison}. Outcome sets must be byte-identical, including
+/// deferred-UB poison and immediate-UB verdicts from out-of-bounds
+/// accesses. The batched entry (`enumerate_function_mems`, every memory
+/// in one call, which shares one run among the memories that agree on
+/// the bytes it touched) must read back the same per-(memory, tuple)
+/// results, memory-major, under every engine; the strict bit-sliced
+/// one refuses each pair instead.
 #[test]
 fn memory_programs_match_reference_over_every_tiny_memory() {
-    let sem = Semantics::proposed();
+    for sem in both_semantics() {
+        memory_programs_match_reference(sem);
+    }
+}
+
+fn memory_programs_match_reference(sem: Semantics) {
     let opts = InputOptions::new()
+        .with_undef(sem.has_undef)
         .with_bytes_per_pointer(2)
         .with_memory_values(true);
     let check = |f: &Function| {
@@ -117,20 +125,22 @@ fn memory_programs_match_reference_over_every_tiny_memory() {
                     reference::enumerate_outcomes(&module, &name, args, mem, sem, limits);
                 assert_eq!(
                     via_plan, via_reference,
-                    "engines diverged on args {args:?}, memory {mem:?} for:\n{module}"
+                    "engines diverged under {} on args {args:?}, memory {mem:?} for:\n{module}",
+                    sem.name
                 );
                 expected.push(via_reference);
             }
         }
         let batch = |engine| {
             enumerate_function_mems(&module, &name, &tuples, &mems, sem, limits, engine)
-                .into_pairs()
+                .pairs(&mems)
         };
         for engine in [Engine::Reference, Engine::Plan, Engine::Auto] {
             assert_eq!(
                 batch(engine),
                 expected,
-                "batched {engine:?} diverged for:\n{module}"
+                "batched {engine:?} diverged under {} for:\n{module}",
+                sem.name
             );
         }
         let strict = batch(Engine::BitSliced);
@@ -213,6 +223,72 @@ fn batched_cached_checker_matches_uncached_reference_over_memories() {
         }
     }
     assert!(violations > 0, "reading 0 for every load must be caught");
+    assert!(
+        nonzero_mems > 0,
+        "some counterexample must need a memory other than the first"
+    );
+}
+
+/// The differential gate for shared runs: `check_refinement_cached` on
+/// `Engine::Auto`, where one plan run answers every initial memory that
+/// agrees with it on the bytes the run touched and each (source run,
+/// target run) combination is compared once, against the unshared
+/// `check_refinement` on `Engine::Reference`. It covers the whole
+/// 3-instruction memory space under both semantics, with 4-byte
+/// memories whose contents are enumerated. Two unsound transforms
+/// alternate: one deletes every store, the other makes one integer
+/// load's uses read 1. The verdicts must match to the last character.
+#[test]
+fn shared_runs_give_the_reference_verdict_text_over_memories() {
+    let (mut violations, mut nonzero_mems) = (0, 0);
+    for sem in both_semantics() {
+        let inputs = InputOptions::new()
+            .with_undef(sem.has_undef)
+            .with_memory_values(true);
+        let opts = CheckOptions::new(sem).with_inputs(inputs);
+        let reference_opts = opts.engine(Engine::Reference);
+        let cache = OutcomeCache::new();
+        for (k, f) in enumerate_functions(GenConfig::memory(3)).enumerate() {
+            let name = f.name.clone();
+            let mut before = Module::new();
+            before.functions.push(f);
+            let mut after = before.clone();
+            let g = after.function_mut(&name).unwrap();
+            let placed: Vec<_> = g.blocks.iter().flat_map(|b| b.insts.clone()).collect();
+            if k % 2 == 0 {
+                let stores: Vec<_> = placed
+                    .into_iter()
+                    .filter(|&id| matches!(g.inst(id), Inst::Store { .. }))
+                    .collect();
+                for b in &mut g.blocks {
+                    b.insts.retain(|id| !stores.contains(id));
+                }
+            } else if let Some((id, bits)) = placed.into_iter().find_map(|id| match g.inst(id) {
+                Inst::Load {
+                    ty: Ty::Int(bits), ..
+                } => Some((id, *bits)),
+                _ => None,
+            }) {
+                g.replace_all_uses(id, &Value::int(bits, 1));
+            }
+
+            let cached = check_refinement_cached(&before, &name, &after, &name, &opts, &cache);
+            let oracle = check_refinement(&before, &name, &after, &name, &reference_opts);
+            assert_eq!(
+                format!("{cached:?}"),
+                format!("{oracle:?}"),
+                "under {} for:\n{before}\n{after}",
+                sem.name
+            );
+            if let Some(ce) = oracle.counterexample() {
+                violations += 1;
+                if ce.initial_mem.as_deref() != Some("b0 = [0x00 0x00 0x00 0x00]") {
+                    nonzero_mems += 1;
+                }
+            }
+        }
+    }
+    assert!(violations > 0, "both transforms are unsound");
     assert!(
         nonzero_mems > 0,
         "some counterexample must need a memory other than the first"

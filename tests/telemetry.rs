@@ -159,6 +159,7 @@ fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
     let (baseline, misses) = run(1);
     for moved in [
         "frost.core.plan.compiles",
+        "frost.core.plan.shared",
         "frost.core.bitslice.compiles",
         "frost.core.bitslice.mem_rejects",
         "frost.core.mem.allocas",
