@@ -383,8 +383,8 @@ impl Domain {
     }
 
     /// `true` if generation-time [`Pruning`] keeps this space's
-    /// behaviours: its liveness model covers integer templates only and
-    /// assumes the last slot's result is the return value.
+    /// behaviours: its liveness model covers integer instructions only
+    /// and assumes the last slot's result is the return value.
     pub fn prunable(self) -> bool {
         self == Domain::Arith
     }

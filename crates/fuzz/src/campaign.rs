@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use frost_core::{Engine, OutcomeCache, Semantics};
+use frost_core::{OutcomeCache, Semantics};
 use frost_ir::{function_to_string, Function, Module};
 use frost_refine::{check_refinement_cached_policy, CheckOptions, CheckPolicy, CheckResult};
 use frost_telemetry::{Counter, Histogram};
@@ -190,16 +190,6 @@ impl Campaign {
             observer: None,
             process_shard: (0, 1),
         }
-    }
-
-    /// Returns this campaign with an explicit execution [`Engine`] for
-    /// every refinement check (the default is [`Engine::Auto`], which
-    /// bit-slices eligible all-i2 functions and falls back to the plan
-    /// machine for everything else).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Campaign {
-        self.opts.engine = engine;
-        self
     }
 
     /// Returns this campaign with a fixed worker-thread count. `0`

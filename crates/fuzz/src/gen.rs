@@ -5,18 +5,22 @@
 //! Functions are straight-line over a narrow integer type (i2 by
 //! default) with two integer arguments; the generator optionally mixes
 //! in `icmp` (producing i1 values), `select`, and `freeze`, with
-//! `poison`/`undef` constants. Enumeration is an odometer over
-//! per-slot option lists, exposed as a lazy iterator so huge spaces can
-//! be sampled with `step_by`.
+//! `poison`/`undef` constants. Each slot's options are complete
+//! [`Inst`]s, typed from the [`GenConfig`], and everything the
+//! generator asks of a chosen instruction — its result type, its
+//! operands — goes through the IR's own queries. Enumeration is an
+//! odometer over the per-slot option lists, exposed as a lazy iterator
+//! so huge spaces can be sampled with `step_by`.
 
 use std::sync::OnceLock;
 
-use frost_ir::{BinOp, BlockId, Cond, Flags, Function, Inst, InstId, Param, Terminator, Ty, Value};
+use frost_ir::{BinOp, Cond, Flags, Function, Inst, InstId, Param, Terminator, Ty, Value};
 use frost_rng::{splitmix64, SmallRng};
 
 /// Generation-time canonicalization: which structurally redundant
 /// shapes the enumerator skips *before* a function is ever built,
-/// instead of checking them and deduplicating afterwards.
+/// instead of checking them and deduplicating afterwards. A pruned-out
+/// instruction never enters a slot's option list.
 ///
 /// Pruning shrinks the space beyond [`frost_ir::FunctionKey`]
 /// equality: a pruned-out function is not α-equivalent to its
@@ -37,10 +41,12 @@ pub struct Pruning {
     /// smaller space, so sweeping each size with this prune on covers
     /// the same behaviors as the unpruned union of all sizes.
     ///
-    /// The prune assumes the last slot's result is the return value. A
-    /// trailing guard returns nothing, so a pruned guarded space drops
-    /// functions such as `%t0 = add i2 %a, %a; assume i1 0; ret i2 %t0`,
-    /// whose behaviour no smaller pruned space has.
+    /// The prune assumes the last slot's result is the return value,
+    /// and counts a void instruction before the last slot as an
+    /// intermediate nothing can reference. So a pruned guarded space
+    /// holds guards only in its last slot, and drops functions such as
+    /// `%t0 = add i2 %a, %a; assume i1 0; ret i2 %t0`, whose behaviour
+    /// no smaller pruned space has.
     pub live_intermediates: bool,
 }
 
@@ -65,7 +71,11 @@ impl Pruning {
 /// Configuration of the generated function space.
 #[derive(Clone, Debug)]
 pub struct GenConfig {
-    /// The narrow integer type (the paper uses i2).
+    /// The narrow integer type (the paper uses i2). N must differ from
+    /// 1 and from [`frost_ir::PTR_BITS`] (32): an operand's role is read
+    /// off its type, and those are the widths of facts (`i1`) and of
+    /// published addresses (`ptrtoint` results). No constructor uses
+    /// either.
     pub int_bits: u32,
     /// Number of instructions per function.
     pub num_insts: usize,
@@ -86,19 +96,19 @@ pub struct GenConfig {
     pub undef_const: bool,
     /// Generate memory programs: the function takes a single pointer
     /// parameter `%p: iN*` (instead of two integer arguments) and the
-    /// template mix becomes `alloca` / `load` / `store` / `gep` (small
-    /// constant indices) / `ptrtoint` / `inttoptr`. `inttoptr` only
-    /// becomes available once a `ptrtoint` result exists, so every
+    /// instruction mix becomes `alloca` / `load` / `store` / `gep`
+    /// (small constant indices) / `ptrtoint` / `inttoptr`. `inttoptr`
+    /// only becomes available once a `ptrtoint` result exists, so every
     /// forged pointer in the space is a laundered round-trip — exactly
     /// the §5 shapes the block-based memory model is about. Memory
-    /// spaces are enumerated unpruned ([`Pruning`] reasons about
-    /// integer templates only).
+    /// spaces are enumerated unpruned ([`Pruning`]'s liveness model
+    /// covers integer instructions only).
     pub memory: bool,
     /// Include the `assume` guard: every available `i1` value (icmp
     /// results, frozen booleans, the literals) can be asserted as a
     /// fact. Guards are void, so guarded functions return the most
-    /// recent *value-producing* result instead of the syntactically
-    /// last one (or `void` when every slot is a guard).
+    /// recent integer result instead of the syntactically last one (or
+    /// `void` when every slot is a guard).
     pub guards: bool,
     /// Generation-time canonicalization (default: [`Pruning::NONE`]).
     pub prune: Pruning,
@@ -207,11 +217,11 @@ impl GenConfig {
 }
 
 /// Always-on enumerator telemetry (`frost.fuzz.gen.pruned.*`; see
-/// docs/OBSERVABILITY.md). Each counter tallies candidate templates
+/// docs/OBSERVABILITY.md). Each counter tallies candidate instructions
 /// rejected while an option list was being built — one rejection can
 /// stand for a whole subtree of skipped functions when it happens at a
 /// non-final slot, so these prove the cut is happening (and where), not
-/// a function-count delta. A template failing several filters is
+/// a function-count delta. An instruction failing several filters is
 /// counted once, by the first filter that rejects it (canonical order
 /// before liveness).
 struct GenCounters {
@@ -229,63 +239,12 @@ fn gen_counters() -> &'static GenCounters {
     })
 }
 
-/// One instruction choice at a slot, given the values available so far.
-#[derive(Clone, Debug)]
-enum Template {
-    Bin {
-        op: BinOp,
-        flags: Flags,
-        lhs: Value,
-        rhs: Value,
-    },
-    Icmp {
-        cond: Cond,
-        lhs: Value,
-        rhs: Value,
-    },
-    Select {
-        cond: Value,
-        tval: Value,
-        fval: Value,
-    },
-    Freeze {
-        val: Value,
-        bool_ty: bool,
-    },
-    /// `alloca iN` — a fresh one-element block.
-    Alloca,
-    /// `load iN` through an available pointer.
-    MemLoad {
-        ptr: Value,
-    },
-    /// `store iN` of an available integer through an available pointer.
-    MemStore {
-        val: Value,
-        ptr: Value,
-    },
-    /// `getelementptr iN, ptr, idx` with a small constant index.
-    MemGep {
-        base: Value,
-        idx: u128,
-    },
-    /// `ptrtoint ptr to i32` — publishes the address.
-    MemPtrToInt {
-        val: Value,
-    },
-    /// `inttoptr i32 to iN*` — forges a pointer from a published
-    /// address (only offered once a `ptrtoint` result is available).
-    MemIntToPtr {
-        val: Value,
-    },
-    /// `assume i1 %c` — asserts an available boolean fact (void).
-    Assume {
-        cond: Value,
-    },
-}
-
-/// The values available as operands before slot `k`, split by type.
+/// The values available as operands before the next slot, split by
+/// type.
 struct Avail {
+    /// `iN` values: arguments, constants, integer results.
     ints: Vec<Value>,
+    /// `i1` facts: the literals, icmp results, frozen facts.
     bools: Vec<Value>,
     /// Pointer-typed values (`iN*`): the pointer parameter, allocas,
     /// geps, forged `inttoptr` results. Memory spaces only.
@@ -294,7 +253,8 @@ struct Avail {
     addrs: Vec<Value>,
 }
 
-fn available(cfg: &GenConfig, prefix: &[Template]) -> Avail {
+fn available<'a>(cfg: &GenConfig, prefix: impl Iterator<Item = &'a Inst>) -> Avail {
+    let int_ty = Ty::Int(cfg.int_bits);
     let mut ints: Vec<Value> = Vec::new();
     let mut ptrs: Vec<Value> = Vec::new();
     let mut addrs: Vec<Value> = Vec::new();
@@ -308,33 +268,22 @@ fn available(cfg: &GenConfig, prefix: &[Template]) -> Avail {
         ints.push(Value::int(cfg.int_bits, c));
     }
     if cfg.poison_const {
-        ints.push(Value::poison(Ty::Int(cfg.int_bits)));
+        ints.push(Value::poison(int_ty.clone()));
     }
     if cfg.undef_const {
-        ints.push(Value::undef(Ty::Int(cfg.int_bits)));
+        ints.push(Value::undef(int_ty));
     }
     let mut bools: Vec<Value> = vec![Value::bool(false), Value::bool(true)];
-    for (i, t) in prefix.iter().enumerate() {
+    for (i, inst) in prefix.enumerate() {
         let v = Value::Inst(InstId(i as u32));
-        match t {
-            Template::Bin { .. } | Template::Select { .. } | Template::MemLoad { .. } => {
-                ints.push(v);
-            }
-            Template::Icmp { .. } => bools.push(v),
-            Template::Freeze { bool_ty, .. } => {
-                if *bool_ty {
-                    bools.push(v);
-                } else {
-                    ints.push(v);
-                }
-            }
-            Template::Alloca | Template::MemGep { .. } | Template::MemIntToPtr { .. } => {
-                ptrs.push(v);
-            }
-            Template::MemPtrToInt { .. } => addrs.push(v),
-            // Void results (ResultKind::Void in the descriptor table)
-            // never join the availability lists.
-            Template::MemStore { .. } | Template::Assume { .. } => {}
+        // `int_bits` is neither 1 nor PTR_BITS, so the widths tell the
+        // roles apart. Void results (store, assume) never join a list.
+        match inst.result_ty() {
+            Ty::Int(1) => bools.push(v),
+            Ty::Int(frost_ir::PTR_BITS) => addrs.push(v),
+            Ty::Int(_) => ints.push(v),
+            Ty::Ptr(_) => ptrs.push(v),
+            _ => {}
         }
     }
     Avail {
@@ -358,58 +307,6 @@ fn flag_variants(cfg: &GenConfig, op: BinOp) -> Vec<Flags> {
     }
 }
 
-impl Template {
-    /// `true` if this template's result is `i1` (it lands in
-    /// `avail.bools` for later slots).
-    fn result_is_bool(&self) -> bool {
-        match self {
-            Template::Icmp { .. } => true,
-            Template::Freeze { bool_ty, .. } => *bool_ty,
-            _ => false,
-        }
-    }
-
-    /// `true` if this template's instruction produces no value
-    /// (`ResultKind::Void` in the descriptor table) — its slot never
-    /// joins the availability lists and contributes nothing to the
-    /// liveness backlog.
-    fn is_void(&self) -> bool {
-        match self {
-            Template::MemStore { .. } => true,
-            Template::Assume { .. } => {
-                frost_ir::Opcode::Assume.descriptor().result == frost_ir::ResultKind::Void
-            }
-            _ => false,
-        }
-    }
-
-    /// Calls `f` with every operand of this template.
-    fn for_each_operand(&self, mut f: impl FnMut(&Value)) {
-        match self {
-            Template::Bin { lhs, rhs, .. } | Template::Icmp { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Template::Select { cond, tval, fval } => {
-                f(cond);
-                f(tval);
-                f(fval);
-            }
-            Template::Freeze { val, .. }
-            | Template::MemLoad { ptr: val }
-            | Template::MemGep { base: val, .. }
-            | Template::MemPtrToInt { val }
-            | Template::MemIntToPtr { val }
-            | Template::Assume { cond: val } => f(val),
-            Template::MemStore { val, ptr } => {
-                f(val);
-                f(ptr);
-            }
-            Template::Alloca => {}
-        }
-    }
-}
-
 /// The operand order key of the canonical-operand prune: non-constants
 /// (arguments, instruction results) rank before constants, ties broken
 /// by position in the availability list. Commutative/symmetric
@@ -423,37 +320,55 @@ fn operand_rank(avail: &[Value], v: &Value) -> (bool, usize) {
     (v.as_const().is_some(), pos)
 }
 
+/// The operands whose order the canonical-operand prune fixes: those of
+/// a commutative binop or a symmetric icmp.
+fn symmetric_operands(inst: &Inst) -> Option<(&Value, &Value)> {
+    match inst {
+        Inst::Bin { op, lhs, rhs, .. } if op.is_commutative() => Some((lhs, rhs)),
+        Inst::Icmp {
+            cond: Cond::Eq | Cond::Ne,
+            lhs,
+            rhs,
+            ..
+        } => Some((lhs, rhs)),
+        _ => None,
+    }
+}
+
 /// State the liveness prune threads through option-list construction:
 /// which prefix results are still unreferenced, and how many
 /// references one future slot can retire per type.
 struct LivePrune {
-    /// Indices of unreferenced int-typed prefix results.
+    /// Indices of unreferenced prefix slots that are not `i1`: integer
+    /// and pointer results, and void slots, which nothing can
+    /// reference (see [`Pruning::live_intermediates`]).
     unref_ints: Vec<u32>,
-    /// Indices of unreferenced bool-typed prefix results.
+    /// Indices of unreferenced `i1` prefix results.
     unref_bools: Vec<u32>,
-    /// Max distinct int intermediates one future template can use.
+    /// Max distinct int intermediates one future instruction can use.
     per_slot_ints: usize,
-    /// Max distinct bool intermediates one future template can use
-    /// (only a select condition consumes a bool).
+    /// Max distinct bool intermediates one future instruction can use
+    /// (a select condition or an assume fact).
     per_slot_bools: usize,
     /// Slots after the one being filled.
     slots_left: usize,
 }
 
 impl LivePrune {
-    fn of(cfg: &GenConfig, prefix: &[Template]) -> LivePrune {
-        let mut referenced = vec![false; prefix.len()];
-        for t in prefix {
-            t.for_each_operand(|v| {
+    fn of<'a>(cfg: &GenConfig, prefix: impl Iterator<Item = &'a Inst> + Clone) -> LivePrune {
+        let mut referenced = Vec::new();
+        for inst in prefix.clone() {
+            referenced.push(false);
+            inst.for_each_operand(|v| {
                 if let Value::Inst(id) = v {
                     referenced[id.0 as usize] = true;
                 }
             });
         }
         let (mut unref_ints, mut unref_bools) = (Vec::new(), Vec::new());
-        for (i, t) in prefix.iter().enumerate() {
+        for (i, inst) in prefix.enumerate() {
             if !referenced[i] {
-                if t.result_is_bool() {
+                if inst.result_ty().is_bool() {
                     unref_bools.push(i as u32);
                 } else {
                     unref_ints.push(i as u32);
@@ -470,24 +385,24 @@ impl LivePrune {
             unref_ints,
             unref_bools,
             per_slot_ints,
-            // A select condition or an assume fact consumes a bool.
             per_slot_bools: usize::from(!cfg.conds.is_empty() || cfg.guards),
-            slots_left: cfg.num_insts - prefix.len() - 1,
+            slots_left: cfg.num_insts - referenced.len() - 1,
         }
     }
 
-    /// `true` if choosing `t` here keeps a fully-live completion
+    /// `true` if choosing `inst` here keeps a fully-live completion
     /// reachable: the final slot must retire every outstanding
     /// intermediate, earlier slots must not let the backlog outgrow
     /// what the remaining slots can reference.
-    fn admits(&self, t: &Template) -> bool {
+    fn admits(&self, inst: &Inst) -> bool {
         let mut ints_left = self.unref_ints.len();
         let mut bools_left = self.unref_bools.len();
         // Dedupe operands (`xor %0, %0` retires one intermediate, not
-        // two); templates have ≤ 3 operands, so a tiny array suffices.
+        // two); generated instructions have ≤ 3 operands, so a tiny
+        // array suffices.
         let mut seen = [u32::MAX; 3];
         let mut n = 0;
-        t.for_each_operand(|v| {
+        inst.for_each_operand(|v| {
             if let Value::Inst(id) = v {
                 if seen[..n].contains(&id.0) {
                     return;
@@ -506,67 +421,58 @@ impl LivePrune {
             return ints_left == 0 && bools_left == 0;
         }
         // This slot's own result joins the backlog — unless it is void
-        // (a guard): nothing to retire.
-        if t.is_void() {
-        } else if t.result_is_bool() {
-            bools_left += 1;
-        } else {
-            ints_left += 1;
+        // (a store or a guard): nothing to retire.
+        match inst.result_ty() {
+            Ty::Void => {}
+            ty if ty.is_bool() => bools_left += 1,
+            _ => ints_left += 1,
         }
         ints_left <= self.per_slot_ints * self.slots_left
             && bools_left <= self.per_slot_bools * self.slots_left
     }
 }
 
-/// All templates legal at the slot following `prefix`, with the
+/// All instructions legal at the slot following `prefix`, with the
 /// configured prunes applied (see [`Pruning`]); rejected candidates are
 /// tallied on the `frost.fuzz.gen.pruned.*` counters.
-fn slot_options(cfg: &GenConfig, prefix: &[Template]) -> Vec<Template> {
-    let avail = available(cfg, prefix);
+fn slot_options<'a>(cfg: &GenConfig, prefix: impl Iterator<Item = &'a Inst> + Clone) -> Vec<Inst> {
+    let avail = available(cfg, prefix.clone());
     let live = cfg
         .prune
         .live_intermediates
         .then(|| LivePrune::of(cfg, prefix));
+    let ty = Ty::Int(cfg.int_bits);
     let mut out = Vec::new();
-    let mut keep = |t: Template| {
-        if cfg.prune.canonical_operands {
-            let symmetric = match &t {
-                Template::Bin { op, .. } => op.is_commutative(),
-                Template::Icmp { cond, .. } => matches!(cond, Cond::Eq | Cond::Ne),
-                _ => false,
-            };
-            if symmetric {
-                let (lhs, rhs) = match &t {
-                    Template::Bin { lhs, rhs, .. } | Template::Icmp { lhs, rhs, .. } => (lhs, rhs),
-                    _ => unreachable!(),
-                };
-                let (lc, lr) = operand_rank(&avail.ints, lhs);
-                let (rc, rr) = operand_rank(&avail.ints, rhs);
-                if (lc, lr) > (rc, rr) {
-                    if lc && !rc {
-                        gen_counters().pruned_const_position.incr();
-                    } else {
-                        gen_counters().pruned_commutative.incr();
-                    }
-                    return;
+    let mut keep = |inst: Inst| {
+        let symmetric = symmetric_operands(&inst).filter(|_| cfg.prune.canonical_operands);
+        if let Some((lhs, rhs)) = symmetric {
+            let (lc, lr) = operand_rank(&avail.ints, lhs);
+            let (rc, rr) = operand_rank(&avail.ints, rhs);
+            if (lc, lr) > (rc, rr) {
+                if lc && !rc {
+                    gen_counters().pruned_const_position.incr();
+                } else {
+                    gen_counters().pruned_commutative.incr();
                 }
+                return;
             }
         }
         if let Some(live) = &live {
-            if !live.admits(&t) {
+            if !live.admits(&inst) {
                 gen_counters().pruned_dead.incr();
                 return;
             }
         }
-        out.push(t);
+        out.push(inst);
     };
     for &op in &cfg.ops {
         for flags in flag_variants(cfg, op) {
             for lhs in &avail.ints {
                 for rhs in &avail.ints {
-                    keep(Template::Bin {
+                    keep(Inst::Bin {
                         op,
                         flags,
+                        ty: ty.clone(),
                         lhs: lhs.clone(),
                         rhs: rhs.clone(),
                     });
@@ -577,8 +483,9 @@ fn slot_options(cfg: &GenConfig, prefix: &[Template]) -> Vec<Template> {
     for &cond in &cfg.conds {
         for lhs in &avail.ints {
             for rhs in &avail.ints {
-                keep(Template::Icmp {
+                keep(Inst::Icmp {
                     cond,
+                    ty: ty.clone(),
                     lhs: lhs.clone(),
                     rhs: rhs.clone(),
                 });
@@ -589,8 +496,9 @@ fn slot_options(cfg: &GenConfig, prefix: &[Template]) -> Vec<Template> {
         for cond in &avail.bools {
             for tval in &avail.ints {
                 for fval in &avail.ints {
-                    keep(Template::Select {
+                    keep(Inst::Select {
                         cond: cond.clone(),
+                        ty: ty.clone(),
                         tval: tval.clone(),
                         fval: fval.clone(),
                     });
@@ -600,9 +508,9 @@ fn slot_options(cfg: &GenConfig, prefix: &[Template]) -> Vec<Template> {
     }
     if cfg.freeze {
         for val in &avail.ints {
-            keep(Template::Freeze {
+            keep(Inst::Freeze {
+                ty: ty.clone(),
                 val: val.clone(),
-                bool_ty: false,
             });
         }
         if cfg.guards {
@@ -612,24 +520,30 @@ fn slot_options(cfg: &GenConfig, prefix: &[Template]) -> Vec<Template> {
             // `guards` to leave historical select-space walks — and
             // their checkpoints — untouched.)
             for val in &avail.bools {
-                keep(Template::Freeze {
+                keep(Inst::Freeze {
+                    ty: Ty::i1(),
                     val: val.clone(),
-                    bool_ty: true,
                 });
             }
         }
     }
     if cfg.guards {
         for cond in &avail.bools {
-            keep(Template::Assume { cond: cond.clone() });
+            keep(Inst::Assume { cond: cond.clone() });
         }
     }
     if cfg.memory {
-        keep(Template::Alloca);
+        let ptr_ty = Ty::ptr_to(ty.clone());
+        let addr_ty = Ty::Int(frost_ir::PTR_BITS);
+        keep(Inst::Alloca { ty: ty.clone() });
         for ptr in &avail.ptrs {
-            keep(Template::MemLoad { ptr: ptr.clone() });
+            keep(Inst::Load {
+                ty: ty.clone(),
+                ptr: ptr.clone(),
+            });
             for val in &avail.ints {
-                keep(Template::MemStore {
+                keep(Inst::Store {
+                    ty: ty.clone(),
                     val: val.clone(),
                     ptr: ptr.clone(),
                 });
@@ -637,163 +551,82 @@ fn slot_options(cfg: &GenConfig, prefix: &[Template]) -> Vec<Template> {
             // Indices 0 (identity), 1 (one-past-end of a 1-byte block,
             // inbounds-legal), 2 (out of bounds → deferred poison).
             for idx in [0u128, 1, 2] {
-                keep(Template::MemGep {
+                keep(Inst::Gep {
+                    elem_ty: ty.clone(),
                     base: ptr.clone(),
-                    idx,
+                    idx_ty: ty.clone(),
+                    idx: Value::int(cfg.int_bits, idx),
+                    inbounds: true,
                 });
             }
-            keep(Template::MemPtrToInt { val: ptr.clone() });
+            keep(Inst::PtrToInt {
+                from_ty: ptr_ty.clone(),
+                to_ty: addr_ty.clone(),
+                val: ptr.clone(),
+            });
         }
         for addr in &avail.addrs {
-            keep(Template::MemIntToPtr { val: addr.clone() });
+            keep(Inst::IntToPtr {
+                from_ty: addr_ty.clone(),
+                to_ty: ptr_ty.clone(),
+                val: addr.clone(),
+            });
         }
     }
     out
 }
 
-fn build_function(cfg: &GenConfig, templates: &[Template], name: &str) -> Function {
+/// The function `name` whose one block holds `insts`. It returns its
+/// most recent integer result: guards and stores are void, and pointer
+/// results stay unreturned, because block indices are
+/// allocation-order-relative — returning a raw `Ptr` would make
+/// behavior depend on how a transform renumbers allocas rather than on
+/// what the program computes. A function with no integer result
+/// returns `void`.
+fn build_function<'a>(
+    cfg: &GenConfig,
+    insts: impl Iterator<Item = &'a Inst>,
+    name: &str,
+) -> Function {
     let int_ty = Ty::Int(cfg.int_bits);
-    let ptr_ty = Ty::ptr_to(int_ty.clone());
+    let param = |name: &str, ty: Ty| Param {
+        name: name.into(),
+        ty,
+    };
     let params = if cfg.memory {
-        vec![Param {
-            name: "p".into(),
-            ty: ptr_ty.clone(),
-        }]
+        vec![param("p", Ty::ptr_to(int_ty))]
     } else {
-        vec![
-            Param {
-                name: "a".into(),
-                ty: int_ty.clone(),
-            },
-            Param {
-                name: "b".into(),
-                ty: int_ty.clone(),
-            },
-        ]
+        vec![param("a", int_ty.clone()), param("b", int_ty)]
     };
-    let mut func = Function {
-        name: name.to_string(),
-        params,
-        ret_ty: Ty::Void, // patched below
-        blocks: vec![frost_ir::Block::new("entry")],
-        insts: Vec::with_capacity(templates.len()),
-    };
-    for t in templates {
-        let inst = match t {
-            Template::Bin {
-                op,
-                flags,
-                lhs,
-                rhs,
-            } => Inst::Bin {
-                op: *op,
-                flags: *flags,
-                ty: int_ty.clone(),
-                lhs: lhs.clone(),
-                rhs: rhs.clone(),
-            },
-            Template::Icmp { cond, lhs, rhs } => Inst::Icmp {
-                cond: *cond,
-                ty: int_ty.clone(),
-                lhs: lhs.clone(),
-                rhs: rhs.clone(),
-            },
-            Template::Select { cond, tval, fval } => Inst::Select {
-                cond: cond.clone(),
-                ty: int_ty.clone(),
-                tval: tval.clone(),
-                fval: fval.clone(),
-            },
-            Template::Freeze { val, bool_ty } => Inst::Freeze {
-                ty: if *bool_ty { Ty::i1() } else { int_ty.clone() },
-                val: val.clone(),
-            },
-            Template::Alloca => Inst::Alloca { ty: int_ty.clone() },
-            Template::MemLoad { ptr } => Inst::Load {
-                ty: int_ty.clone(),
-                ptr: ptr.clone(),
-            },
-            Template::MemStore { val, ptr } => Inst::Store {
-                ty: int_ty.clone(),
-                val: val.clone(),
-                ptr: ptr.clone(),
-            },
-            Template::MemGep { base, idx } => Inst::Gep {
-                elem_ty: int_ty.clone(),
-                base: base.clone(),
-                idx_ty: Ty::Int(cfg.int_bits),
-                idx: Value::int(cfg.int_bits, *idx),
-                inbounds: true,
-            },
-            Template::MemPtrToInt { val } => Inst::PtrToInt {
-                from_ty: ptr_ty.clone(),
-                to_ty: Ty::Int(frost_ir::PTR_BITS),
-                val: val.clone(),
-            },
-            Template::MemIntToPtr { val } => Inst::IntToPtr {
-                from_ty: Ty::Int(frost_ir::PTR_BITS),
-                to_ty: ptr_ty.clone(),
-                val: val.clone(),
-            },
-            Template::Assume { cond } => Inst::Assume { cond: cond.clone() },
-        };
-        let id = func.add_inst(inst);
+    let mut func = Function::new(name, params, Ty::Void);
+    func.insts.reserve_exact(cfg.num_insts);
+    for inst in insts {
+        let id = func.add_inst(inst.clone());
         func.blocks[0].insts.push(id);
     }
-    if cfg.memory {
-        // Return the most recent integer result — a loaded byte or a
-        // published address. Pointer results stay unreturned: block
-        // indices are allocation-order-relative, so returning a raw
-        // `Ptr` would make behavior depend on how a transform renumbers
-        // allocas rather than on what the program computes.
-        let ret = templates.iter().enumerate().rev().find_map(|(i, t)| {
-            matches!(t, Template::MemLoad { .. } | Template::MemPtrToInt { .. })
-                .then_some(InstId(i as u32))
-        });
-        match ret {
-            Some(id) => {
-                func.ret_ty = func.inst(id).result_ty();
-                func.blocks[0].term = Terminator::Ret(Some(Value::Inst(id)));
-            }
-            None => {
-                func.ret_ty = Ty::Void;
-                func.blocks[0].term = Terminator::Ret(None);
-            }
+    match func
+        .insts
+        .iter()
+        .rposition(|inst| inst.result_ty().is_int())
+    {
+        Some(i) => {
+            let id = InstId(i as u32);
+            func.ret_ty = func.inst(id).result_ty();
+            func.blocks[0].term = Terminator::Ret(Some(Value::Inst(id)));
         }
-    } else {
-        // Return the most recent value-producing result (per the
-        // descriptor table's `ResultKind`). In guard-free spaces every
-        // slot produces a value, so this is the syntactically last
-        // instruction — the historical behavior; guards are void and
-        // skipped (a function of only guards returns void).
-        let ret = (0..func.insts.len())
-            .rev()
-            .find(|&i| func.insts[i].descriptor().result == frost_ir::ResultKind::Value);
-        match ret {
-            Some(i) => {
-                let id = InstId(i as u32);
-                func.ret_ty = func.inst(id).result_ty();
-                func.blocks[0].term = Terminator::Ret(Some(Value::Inst(id)));
-            }
-            None => {
-                func.ret_ty = Ty::Void;
-                func.blocks[0].term = Terminator::Ret(None);
-            }
-        }
+        None => func.blocks[0].term = Terminator::Ret(None),
     }
-    let _ = BlockId::ENTRY;
     func
 }
 
 /// Lazy exhaustive enumeration of the function space.
 pub struct ExhaustiveFunctions {
     cfg: GenConfig,
-    /// Odometer indices, one per instruction slot.
+    /// Odometer indices, one per filled slot: slot `k` holds
+    /// `options[k][indices[k]]`.
     indices: Vec<usize>,
-    /// Chosen templates for the current prefix.
-    templates: Vec<Template>,
-    /// Option lists per slot (computed from the current prefix).
-    options: Vec<Vec<Template>>,
+    /// Option lists per slot (computed from the chosen prefix).
+    options: Vec<Vec<Inst>>,
     counter: u64,
     done: bool,
 }
@@ -805,7 +638,6 @@ impl ExhaustiveFunctions {
         let mut e = ExhaustiveFunctions {
             cfg,
             indices: Vec::new(),
-            templates: Vec::new(),
             options: Vec::new(),
             counter: 0,
             done: false,
@@ -816,6 +648,14 @@ impl ExhaustiveFunctions {
         e
     }
 
+    /// The instructions chosen at the filled slots, in slot order.
+    fn chosen(&self) -> impl Iterator<Item = &Inst> + Clone {
+        self.options
+            .iter()
+            .zip(&self.indices)
+            .map(|(opts, &ix)| &opts[ix])
+    }
+
     /// (Re)computes options and picks index 0 for slots `from..`.
     /// Returns `false` if some slot's (pruned) option list came up
     /// empty — the prefix admits no live completion; the partially
@@ -823,10 +663,9 @@ impl ExhaustiveFunctions {
     /// bump past.
     fn fill_from(&mut self, from: usize) -> bool {
         self.indices.truncate(from);
-        self.templates.truncate(from);
         self.options.truncate(from);
         for k in from..self.cfg.num_insts {
-            let opts = slot_options(&self.cfg, &self.templates);
+            let opts = slot_options(&self.cfg, self.chosen());
             if opts.is_empty() {
                 assert!(
                     self.cfg.prune.any(),
@@ -834,7 +673,6 @@ impl ExhaustiveFunctions {
                 );
                 return false;
             }
-            self.templates.push(opts[0].clone());
             self.options.push(opts);
             self.indices.push(0);
         }
@@ -857,7 +695,6 @@ impl ExhaustiveFunctions {
                 }
             }
             self.indices[k] += 1;
-            self.templates[k] = self.options[k][self.indices[k]].clone();
             if self.fill_from(k + 1) {
                 return true;
             }
@@ -867,7 +704,7 @@ impl ExhaustiveFunctions {
     /// Fast-forwards the walk past the next `n` functions, exactly as
     /// if [`Iterator::next`] were called `n` times and the results
     /// discarded — but jumps within the final slot's option list
-    /// instead of rebuilding templates, so striding over a
+    /// instead of building functions, so striding over a
     /// cross-process shard's foreign residues costs a few index
     /// additions per stride. The counter advances with the skip, so
     /// `fz{n}` names and global corpus indices stay exact.
@@ -881,7 +718,6 @@ impl ExhaustiveFunctions {
             let room = (self.options[k].len() - 1 - self.indices[k]) as u64;
             if room >= left {
                 self.indices[k] += left as usize;
-                self.templates[k] = self.options[k][self.indices[k]].clone();
                 self.counter += left;
                 return;
             }
@@ -919,9 +755,9 @@ impl ExhaustiveFunctions {
     }
 
     /// Resumes enumeration at a cursor previously captured with
-    /// [`ExhaustiveFunctions::cursor`]. The templates and option lists
-    /// are recomputed slot by slot, so a resumed iterator is
-    /// indistinguishable from one that walked to the cursor itself.
+    /// [`ExhaustiveFunctions::cursor`]. The option lists are recomputed
+    /// slot by slot, so a resumed iterator is indistinguishable from one
+    /// that walked to the cursor itself.
     ///
     /// # Errors
     ///
@@ -938,7 +774,6 @@ impl ExhaustiveFunctions {
         let mut e = ExhaustiveFunctions {
             cfg,
             indices: Vec::new(),
-            templates: Vec::new(),
             options: Vec::new(),
             counter,
             done,
@@ -954,14 +789,13 @@ impl ExhaustiveFunctions {
             ));
         }
         for (k, &ix) in indices.iter().enumerate() {
-            let opts = slot_options(&e.cfg, &e.templates);
+            let opts = slot_options(&e.cfg, e.chosen());
             if ix >= opts.len() {
                 return Err(format!(
                     "slot {k}: cursor index {ix} out of range (0..{})",
                     opts.len()
                 ));
             }
-            e.templates.push(opts[ix].clone());
             e.options.push(opts);
             e.indices.push(ix);
         }
@@ -977,7 +811,7 @@ impl Iterator for ExhaustiveFunctions {
             return None;
         }
         let name = format!("fz{}", self.counter);
-        let f = build_function(&self.cfg, &self.templates, &name);
+        let f = build_function(&self.cfg, self.chosen(), &name);
         self.counter += 1;
         if !self.advance() {
             self.done = true;
@@ -1015,6 +849,15 @@ pub fn random_functions(cfg: GenConfig, seed: u64, count: usize) -> Vec<Function
 /// sequential `random_functions(cfg, seed, n)` call would, regardless
 /// of shard size or thread count. This is the determinism anchor of
 /// `Campaign::run_random`.
+///
+/// A pruned prefix can leave the next slot with no live option (the
+/// exhaustive walk backtracks past it); such a draw starts that
+/// function over on the same generator, so every function drawn is one
+/// the walk yields.
+///
+/// # Panics
+///
+/// Panics if the space has no functions at all.
 pub fn random_functions_range(
     cfg: &GenConfig,
     seed: u64,
@@ -1022,14 +865,23 @@ pub fn random_functions_range(
     count: usize,
 ) -> Vec<Function> {
     let mut out = Vec::with_capacity(count);
+    let mut nonempty = false;
     for i in start..start + count {
         let mut rng = SmallRng::seed_from_u64(splitmix64(seed ^ splitmix64(i as u64)));
-        let mut templates: Vec<Template> = Vec::with_capacity(cfg.num_insts);
-        for _ in 0..cfg.num_insts {
-            let opts = slot_options(cfg, &templates);
-            templates.push(opts[rng.gen_range(0..opts.len())].clone());
+        let mut chosen: Vec<Inst> = Vec::with_capacity(cfg.num_insts);
+        while chosen.len() < cfg.num_insts {
+            let mut opts = slot_options(cfg, chosen.iter());
+            if opts.is_empty() {
+                // Starting over ends when the space has a function,
+                // since every restart can reach it; refuse an empty one.
+                nonempty = nonempty || !ExhaustiveFunctions::new(cfg.clone()).done;
+                assert!(nonempty, "the generated space has no functions");
+                chosen.clear();
+                continue;
+            }
+            chosen.push(opts.swap_remove(rng.gen_range(0..opts.len())));
         }
-        out.push(build_function(cfg, &templates, &format!("rf{i}")));
+        out.push(build_function(cfg, chosen.iter(), &format!("rf{i}")));
     }
     out
 }
@@ -1454,6 +1306,214 @@ mod tests {
                 .map(|f| frost_ir::function_to_string(&f)),
         );
         assert_eq!(walked, full, "resume must continue the guarded walk");
+    }
+
+    /// FNV-1a (64-bit): a hash fixed here rather than borrowed from
+    /// `std`, so a pinned digest names the same bytes on every toolchain.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn eat_cursor(&mut self, walk: &ExhaustiveFunctions) {
+            let (indices, counter, done) = walk.cursor();
+            for ix in indices {
+                self.eat(&(ix as u64).to_le_bytes());
+            }
+            self.eat(&counter.to_le_bytes());
+            self.eat(&[u8::from(done)]);
+        }
+    }
+
+    /// Digest of one walk: the text of every `stride`-th function (names
+    /// included) up to `limit` of them, the cursor every 1,000 functions
+    /// and at the end, then (when `random`) the first 200 functions of
+    /// the seed-7 random stream. Returns the digest and the count.
+    fn walk_digest(cfg: &GenConfig, stride: usize, limit: usize, random: bool) -> (u64, usize) {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut walk = enumerate_functions(cfg.clone());
+        let mut n = 0;
+        while n < limit {
+            let Some(f) = walk.nth(stride - 1) else {
+                break;
+            };
+            h.eat(frost_ir::function_to_string(&f).as_bytes());
+            n += 1;
+            if n % 1_000 == 0 {
+                h.eat_cursor(&walk);
+            }
+        }
+        h.eat_cursor(&walk);
+        if random {
+            for f in random_functions(cfg.clone(), 7, 200) {
+                h.eat(frost_ir::function_to_string(&f).as_bytes());
+            }
+        }
+        (h.0, n)
+    }
+
+    /// Pins the walk order everything downstream indexes into:
+    /// checkpoint cursors, `fz{n}` names, residue-class shards and
+    /// random corpora. The digests were recorded before the generator
+    /// built [`Inst`]s directly and must never move; a change that
+    /// reorders, adds or drops an option shows up here first.
+    #[test]
+    fn walk_digests_are_pinned() {
+        let full = Pruning::FULL;
+        let all = usize::MAX;
+        // (space, config, stride, functions taken, random stream, digest)
+        let cases = [
+            (
+                "arith1",
+                GenConfig::arithmetic(1),
+                1,
+                all,
+                true,
+                0xd58c_6d02_030c_54a3,
+            ),
+            (
+                "arith1+undef",
+                GenConfig::arithmetic(1).with_undef(),
+                3,
+                all,
+                true,
+                0x56a7_a59d_ed41_5670,
+            ),
+            (
+                "arith2",
+                GenConfig::arithmetic(2),
+                101,
+                all,
+                true,
+                0xb8f6_0c26_bb98_0581,
+            ),
+            (
+                "arith2+prune",
+                GenConfig::arithmetic(2).with_pruning(full),
+                31,
+                8_000,
+                true,
+                0x6568_3cb7_450a_9e02,
+            ),
+            (
+                "arith3+prune",
+                GenConfig::arithmetic(3).with_pruning(full),
+                1,
+                5_000,
+                true,
+                0x07e3_b050_473c_be18,
+            ),
+            (
+                "selects2",
+                GenConfig::with_selects(2),
+                11,
+                all,
+                true,
+                0x56e2_bb8b_25ad_a28e,
+            ),
+            (
+                "selects2+undef+prune",
+                GenConfig::with_selects(2).with_undef().with_pruning(full),
+                3,
+                all,
+                true,
+                0xf5b1_8b58_7867_ad6d,
+            ),
+            (
+                "selects3+prune",
+                GenConfig::with_selects(3).with_pruning(full),
+                17,
+                2_000,
+                true,
+                0x6c4f_bf0e_81f9_9d18,
+            ),
+            (
+                "guards2",
+                GenConfig::guards(2),
+                7,
+                all,
+                true,
+                0xb552_c72d_a3b5_19eb,
+            ),
+            // Random draws of this space used to panic on an empty
+            // pruned slot, so no earlier stream exists to pin.
+            (
+                "guards2+prune",
+                GenConfig::guards(2).with_pruning(full),
+                1,
+                all,
+                false,
+                0xc0f3_8d2d_3adf_8281,
+            ),
+            (
+                "guards3+undef",
+                GenConfig::guards(3).with_undef(),
+                211,
+                5_000,
+                true,
+                0xcf53_a455_17df_ea82,
+            ),
+            (
+                "memory3",
+                GenConfig::memory(3),
+                1,
+                all,
+                true,
+                0x5a81_e30c_7986_40db,
+            ),
+            (
+                "memory5",
+                GenConfig::memory(5),
+                173,
+                5_000,
+                true,
+                0xc3cb_c843_3a88_3e77,
+            ),
+        ];
+        let moved: Vec<String> = cases
+            .into_iter()
+            .filter_map(|(name, cfg, stride, limit, random, pinned)| {
+                let (digest, n) = walk_digest(&cfg, stride, limit, random);
+                (digest != pinned).then(|| {
+                    format!("{name}: {digest:#018x} over {n} functions, pinned {pinned:#018x}")
+                })
+            })
+            .collect();
+        assert!(moved.is_empty(), "walk order moved:\n{}", moved.join("\n"));
+    }
+
+    #[test]
+    fn random_draws_from_a_pruned_space_come_from_its_walk() {
+        // A pruned prefix can leave the next slot with no live option:
+        // the walk backtracks past it, and a random draw starts over.
+        let cfg = GenConfig::guards(2).with_pruning(Pruning::FULL);
+        let body = |mut f: Function| {
+            f.name = "f".into();
+            frost_ir::function_to_string(&f)
+        };
+        let walk: std::collections::HashSet<String> =
+            enumerate_functions(cfg.clone()).map(body).collect();
+        assert_eq!(walk.len(), 8_494);
+        assert_eq!(random_functions_range(&cfg, 7, 50, 1).len(), 1);
+        for f in random_functions_range(&cfg, 7, 0, 2_000) {
+            let text = body(f);
+            assert!(walk.contains(&text), "drawn outside the walk:\n{text}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no functions")]
+    fn random_draws_from_an_empty_space_panic_instead_of_spinning() {
+        // The liveness prune lets no memory instruction retire an
+        // intermediate and counts a store as one, so a pruned memory
+        // space past one slot is empty: starting over could never end.
+        let cfg = GenConfig::memory(2).with_pruning(Pruning::FULL);
+        assert_eq!(enumerate_functions(cfg.clone()).count(), 0);
+        let _ = random_functions_range(&cfg, 7, 0, 1);
     }
 
     #[test]

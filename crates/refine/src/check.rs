@@ -506,21 +506,22 @@ fn mem_space_too_large() -> CheckResult {
 /// describes memory `mi`, and runs only for the violation returned.
 ///
 /// Two lane batches over the same tuples whose return widths agree are
-/// compared in lane masks ([`lanes_unjustified`]): the lowest bad lane
-/// of the first memory that has one is the first violating tuple, and
-/// only that lane is materialized. Any other pair of batches is
-/// compared set by set, and counted under
+/// compared in lane masks ([`lanes_unjustified`]) on memory 0 alone:
+/// it is either the only memory, or one of a shared list in which
+/// every memory refines itself. The lowest bad lane is the first
+/// violating tuple, and only that lane is materialized. Any other pair
+/// of batches is compared set by set, and counted under
 /// `frost.refine.compare.materialized`.
 ///
-/// When both sides' lists hold the same memories
-/// ([`CheckMemories::same_contents`]), a pair's verdict depends only on
-/// its tuple's (source run, target run) combination: on a byte either
-/// run touched, every memory that run answers agrees with the memory
-/// it was made on, and on any other byte both sides read back the
-/// pair's own memory, which refines itself. So each combination is
-/// decided once, at its first pair, which is where the per-pair loop
-/// would first meet it; the first violation, and the input an
-/// inconclusive verdict blames, stay the per-pair loop's.
+/// When both sides read one list ([`CheckMemories::is_shared`]), a
+/// pair's verdict depends only on its tuple's (source run, target run)
+/// combination: on a byte either run touched, every memory that run
+/// answers agrees with the memory it was made on, and on any other byte
+/// both sides read back the pair's own memory, which refines itself.
+/// So each combination is decided once, at its first pair, which is
+/// where the per-pair loop would first meet it; the first violation,
+/// and the input an inconclusive verdict blames, stay the per-pair
+/// loop's.
 fn compare(
     src: &Batch,
     tgt: &Batch,
@@ -530,33 +531,28 @@ fn compare(
     initial_mem: impl FnOnce(usize) -> Option<String>,
 ) -> Option<CheckResult> {
     let (src_mems, tgt_mems) = (mems.src(), mems.tgt());
-    let same = mems.same_contents();
     if let (Batch::Lanes(s), Batch::Lanes(t)) = (src, tgt) {
         // Width 0 is `void` or a returned poison constant: no value or
         // undef code, the only ones whose meaning depends on the width.
         let (sw, tw) = (s.ret_bits(), t.ret_bits());
         if s.lanes() == t.lanes() && (sw == tw || sw == 0 || tw == 0) {
-            // Equal memories refine each other: the first one decides.
-            let decisive = if same { 1 } else { src_mems.len() };
-            for (mi, (sm, tm)) in src_mems.iter().zip(tgt_mems).take(decisive).enumerate() {
-                let (sm, tm) = (sm.snapshot(), tm.snapshot());
-                let bad = lanes_unjustified(t, s, mem_refines(&tm, &sm));
-                if bad != 0 {
-                    let l = bad.trailing_zeros() as usize;
-                    let (src, tgt) = (s.outcomes(l, &sm), t.outcomes(l, &tm));
-                    let mem = initial_mem(mi);
-                    return Some(violation(&tuples[l], mem, src, tgt, block_sizes));
-                }
+            let (sm, tm) = (src_mems[0].snapshot(), tgt_mems[0].snapshot());
+            let bad = lanes_unjustified(t, s, mem_refines(&tm, &sm));
+            if bad == 0 {
+                return None;
             }
-            return None;
+            let l = bad.trailing_zeros() as usize;
+            let (src, tgt) = (s.outcomes(l, &sm), t.outcomes(l, &tm));
+            return Some(violation(&tuples[l], initial_mem(0), src, tgt, block_sizes));
         }
     }
     refine_counters().materialized.incr();
     let n = tuples.len();
+    let shared = mems.is_shared();
     let mut decided = FastHashSet::default();
     for pair in 0..src_mems.len() * n {
         let args = &tuples[pair % n];
-        if same && !decided.insert((src.run_index(pair), tgt.run_index(pair), pair % n)) {
+        if shared && !decided.insert((src.run_index(pair), tgt.run_index(pair), pair % n)) {
             continue;
         }
         let src_pair = src.pair(src_mems, pair);

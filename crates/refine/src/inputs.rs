@@ -312,37 +312,22 @@ pub fn enumerate_inputs_cached(func: &Function, opts: &InputOptions) -> Option<S
 }
 
 /// Both sides' candidate initial memories for one check, from
-/// [`check_memories`]. The two lists pair up index by index and differ
-/// only in the uninitialized-byte fill.
+/// [`check_memories`].
 pub(crate) enum CheckMemories {
     /// The single all-fill memory of each side (source, target), built
     /// in place.
     Single([Memory; 2]),
-    /// The enumerated contents of each side (source, target), shared
-    /// through a process-wide memo.
-    Enumerated(Arc<EnumeratedMemories>),
-}
-
-/// A memo entry of [`check_memories`].
-pub(crate) struct EnumeratedMemories {
-    /// Source and target lists.
-    sides: [Vec<Memory>; 2],
-    /// Whether the two lists are equal memory by memory, worked out
-    /// once per entry.
-    same: bool,
+    /// The enumerated contents, one list both sides read, shared
+    /// through a process-wide memo. Every byte is set, so neither
+    /// side's uninitialized fill shows.
+    Enumerated(Arc<Vec<Memory>>),
 }
 
 impl CheckMemories {
-    /// Whether the two sides' lists hold equal memories index by index,
-    /// so that a pair's verdict depends only on the runs answering it.
-    /// Contents enumerated, every byte is set and the fills never show.
-    /// A single memory per side leaves nothing to share, and answers
-    /// `false`.
-    pub(crate) fn same_contents(&self) -> bool {
-        match self {
-            CheckMemories::Single(_) => false,
-            CheckMemories::Enumerated(m) => m.same,
-        }
+    /// Whether both sides read one list, so that a pair's verdict
+    /// depends only on the runs answering it.
+    pub(crate) fn is_shared(&self) -> bool {
+        matches!(self, CheckMemories::Enumerated(_))
     }
 
     /// The source side's memories.
@@ -358,32 +343,31 @@ impl CheckMemories {
     fn side(&self, i: usize) -> &[Memory] {
         match self {
             CheckMemories::Single(m) => std::slice::from_ref(&m[i]),
-            CheckMemories::Enumerated(m) => &m.sides[i],
+            CheckMemories::Enumerated(m) => m,
         }
     }
 }
 
-/// Memo table type: block shape + options + both fills → both sides'
-/// memory lists (or the memoized failure).
-type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions, Bit, Bit), Option<Arc<EnumeratedMemories>>>;
+/// Memo table type: block shape + options → the shared memory list (or
+/// the memoized failure).
+type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions), Option<Arc<Vec<Memory>>>>;
 
 fn memory_memo() -> &'static Mutex<MemoryMemo> {
     static MEMO: OnceLock<Mutex<MemoryMemo>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(FastHashMap::default()))
 }
 
-/// [`enumerate_memories`] for both sides of a check: the source's under
-/// `src_fill`, the target's under `tgt_fill`. Returns `None` when the
-/// memory space exceeds `opts.max_tuples`.
+/// [`enumerate_memories`] for both sides of a check. Returns `None`
+/// when the memory space exceeds `opts.max_tuples`.
 ///
-/// With [`InputOptions::memory_values`] the lists (4^total-bytes
-/// memories each) are memoized per (block shape, options, fills), like
-/// [`enumerate_inputs_cached`]: every check of a memory sweep shares
-/// one pair of lists instead of rebuilding hundreds of images, and the
-/// memo keeps each shape's lists for the life of the process. Whether
-/// the two lists are equal ([`CheckMemories::same_contents`]) is worked
-/// out here too, once per entry rather than once per check. Without
-/// it each side has one memory, built in place: no lock, no list.
+/// With [`InputOptions::memory_values`] every byte is enumerated, so
+/// the fills never show and both sides read one list (4^total-bytes
+/// memories), memoized per (block shape, options) like
+/// [`enumerate_inputs_cached`]: every check of a memory sweep shares it
+/// instead of rebuilding hundreds of images, and the memo keeps each
+/// shape's list for the life of the process. Without it each side has
+/// one memory, the source's filled with `src_fill` and the target's
+/// with `tgt_fill`, built in place: no lock, no list.
 pub(crate) fn check_memories(
     block_sizes: &[u32],
     opts: &InputOptions,
@@ -396,21 +380,13 @@ pub(crate) fn check_memories(
             Memory::with_initial_blocks(block_sizes, tgt_fill),
         ]));
     }
-    let key = (block_sizes.to_vec(), *opts, src_fill, tgt_fill);
+    let key = (block_sizes.to_vec(), *opts);
     if let Some(hit) = memory_memo().lock().expect("memory memo lock").get(&key) {
         return hit.clone().map(CheckMemories::Enumerated);
     }
     // Enumerate outside the lock; a racing duplicate insert stores an
     // identical value.
-    let computed = enumerate_memories(block_sizes, opts, src_fill).map(|src| {
-        let tgt = enumerate_memories(block_sizes, opts, tgt_fill)
-            .expect("target memory shape matches the source's");
-        let same = src == tgt;
-        Arc::new(EnumeratedMemories {
-            sides: [src, tgt],
-            same,
-        })
-    });
+    let computed = enumerate_memories(block_sizes, opts, src_fill).map(Arc::new);
     memory_memo()
         .lock()
         .expect("memory memo lock")

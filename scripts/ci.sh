@@ -204,7 +204,7 @@ for flags in "--guards --prune" "--mem --guards"; do
 done
 rm -f sweep-refusal.err
 
-echo "==> 3-inst sharded sweep slice + merge smoke (bounded)"
+echo "==> 3-inst sharded sweep slice + merge smoke, pinned prefixes (bounded)"
 # A bounded slice of the 3-instruction space (6.3B functions unpruned,
 # 87.5M after generation-time pruning) as a 2-process campaign: each
 # shard sweeps its residue class under a per-shard budget, then the
@@ -232,8 +232,28 @@ cmp sweep-merged.out sweep-single3.out || {
     diff sweep-merged.out sweep-single3.out >&2 || true
     exit 1
 }
+# A budget prefix moves whenever the generator's walk order does, even
+# when whole-space counts stay put, so the single-process prefix line
+# and a 3-inst guarded prefix are pinned byte for byte as well.
+echo "sweep: checked=40000 changed=19204 refined=40000 violations=0 inconclusive=0 complete=false" \
+    > sweep-expected3.out
+cmp sweep-single3.out sweep-expected3.out || {
+    echo "ci: 3-inst pruned 40000-function prefix diverges from its pinned line" >&2
+    diff sweep-single3.out sweep-expected3.out >&2 || true
+    exit 1
+}
+cargo run -q --release -p frost-bench --bin repro -- \
+    --experiment sweep --guards --insts 3 --budget 40000 \
+    | grep "^sweep:" > sweep-guard3.out
+echo "sweep: checked=40000 changed=36098 refined=40000 violations=0 inconclusive=0 complete=false" \
+    > sweep-expected3.out
+cmp sweep-guard3.out sweep-expected3.out || {
+    echo "ci: 3-inst guarded 40000-function prefix diverges from its pinned line" >&2
+    diff sweep-guard3.out sweep-expected3.out >&2 || true
+    exit 1
+}
 rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl \
-    sweep-merged.out sweep-single3.out
+    sweep-merged.out sweep-single3.out sweep-guard3.out sweep-expected3.out
 
 echo "==> textual IR roundtrip fidelity (full §6 corpus + 10k fuzz sample)"
 # Every function of the unsampled §6 exhaustive spaces, a 10k random
