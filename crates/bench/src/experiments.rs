@@ -496,8 +496,12 @@ pub fn sweep(domain: Domain, run: &SweepRun) -> Result<(Table, String), FrostErr
         _ => None,
     };
     let mut campaign = Campaign::with_options(domain.options())
-        // Large shards amortize the per-batch scoped-thread spawn;
-        // checkpoints land on shard boundaries either way.
+        // On 2 vCPUs, chunks of 256 ran every perfbench sweep faster
+        // than 4096: guard3 +9% fn/s (4 of 4 pairs), arith2 +10% (4 of
+        // 4) and mem4 +13% (8 of 8; its 6,581-function slice is two
+        // 4096-chunks, one per worker). 4096 stays until the long CI
+        // sweeps are measured too. Checkpoints land on chunk
+        // boundaries either way.
         .with_shard_size(4096)
         .with_process_shard(shard_id, shards);
     if let Some(b) = run.budget {
@@ -691,6 +695,7 @@ fn sweep_bench_json(
             "stride_skips",
             delta.counter("frost.fuzz.campaign.skip.stride"),
         )
+        .field("option_lists", delta.counter("frost.fuzz.gen.lists"))
         .finish();
     out
 }

@@ -12,7 +12,8 @@
 //! odometer over the per-slot option lists, exposed as a lazy iterator
 //! so huge spaces can be sampled with `step_by`.
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use frost_ir::{BinOp, Cond, Flags, Function, Inst, InstId, Param, Terminator, Ty, Value};
 use frost_rng::{splitmix64, SmallRng};
@@ -216,15 +217,17 @@ impl GenConfig {
     }
 }
 
-/// Always-on enumerator telemetry (`frost.fuzz.gen.pruned.*`; see
-/// docs/OBSERVABILITY.md). Each counter tallies candidate instructions
-/// rejected while an option list was being built — one rejection can
-/// stand for a whole subtree of skipped functions when it happens at a
-/// non-final slot, so these prove the cut is happening (and where), not
+/// Always-on enumerator telemetry (`frost.fuzz.gen.*`; see
+/// docs/OBSERVABILITY.md). `lists` counts the option lists
+/// [`slot_options`] builds. Each `pruned_*` counter tallies candidate
+/// instructions rejected while a list was being built, so an exhaustive
+/// walk, which builds one list per prefix shape, counts a rejection
+/// once per shape — these prove the cut is happening (and where), not
 /// a function-count delta. An instruction failing several filters is
 /// counted once, by the first filter that rejects it (canonical order
 /// before liveness).
 struct GenCounters {
+    lists: &'static frost_telemetry::Counter,
     pruned_commutative: &'static frost_telemetry::Counter,
     pruned_const_position: &'static frost_telemetry::Counter,
     pruned_dead: &'static frost_telemetry::Counter,
@@ -233,6 +236,7 @@ struct GenCounters {
 fn gen_counters() -> &'static GenCounters {
     static COUNTERS: OnceLock<GenCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| GenCounters {
+        lists: frost_telemetry::counter("frost.fuzz.gen.lists"),
         pruned_commutative: frost_telemetry::counter("frost.fuzz.gen.pruned.commutative"),
         pruned_const_position: frost_telemetry::counter("frost.fuzz.gen.pruned.const_position"),
         pruned_dead: frost_telemetry::counter("frost.fuzz.gen.pruned.dead"),
@@ -251,6 +255,29 @@ struct Avail {
     ptrs: Vec<Value>,
     /// `i32` addresses published by `ptrtoint`. Memory spaces only.
     addrs: Vec<Value>,
+}
+
+/// What a chosen instruction's result is to the slots after it. Read
+/// off its type: `int_bits` is neither 1 nor PTR_BITS, so the widths
+/// tell the roles apart.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Int,
+    Fact,
+    Ptr,
+    Addr,
+    /// A store or an assume: never an operand.
+    Void,
+}
+
+fn role(inst: &Inst) -> Role {
+    match inst.result_ty() {
+        Ty::Int(1) => Role::Fact,
+        Ty::Int(frost_ir::PTR_BITS) => Role::Addr,
+        Ty::Int(_) => Role::Int,
+        Ty::Ptr(_) => Role::Ptr,
+        _ => Role::Void,
+    }
 }
 
 fn available<'a>(cfg: &GenConfig, prefix: impl Iterator<Item = &'a Inst>) -> Avail {
@@ -276,14 +303,12 @@ fn available<'a>(cfg: &GenConfig, prefix: impl Iterator<Item = &'a Inst>) -> Ava
     let mut bools: Vec<Value> = vec![Value::bool(false), Value::bool(true)];
     for (i, inst) in prefix.enumerate() {
         let v = Value::Inst(InstId(i as u32));
-        // `int_bits` is neither 1 nor PTR_BITS, so the widths tell the
-        // roles apart. Void results (store, assume) never join a list.
-        match inst.result_ty() {
-            Ty::Int(1) => bools.push(v),
-            Ty::Int(frost_ir::PTR_BITS) => addrs.push(v),
-            Ty::Int(_) => ints.push(v),
-            Ty::Ptr(_) => ptrs.push(v),
-            _ => {}
+        match role(inst) {
+            Role::Int => ints.push(v),
+            Role::Fact => bools.push(v),
+            Role::Ptr => ptrs.push(v),
+            Role::Addr => addrs.push(v),
+            Role::Void => {}
         }
     }
     Avail {
@@ -368,7 +393,7 @@ impl LivePrune {
         let (mut unref_ints, mut unref_bools) = (Vec::new(), Vec::new());
         for (i, inst) in prefix.enumerate() {
             if !referenced[i] {
-                if inst.result_ty().is_bool() {
+                if role(inst) == Role::Fact {
                     unref_bools.push(i as u32);
                 } else {
                     unref_ints.push(i as u32);
@@ -434,8 +459,10 @@ impl LivePrune {
 
 /// All instructions legal at the slot following `prefix`, with the
 /// configured prunes applied (see [`Pruning`]); rejected candidates are
-/// tallied on the `frost.fuzz.gen.pruned.*` counters.
+/// tallied on the `frost.fuzz.gen.pruned.*` counters, the list itself
+/// on `frost.fuzz.gen.lists`.
 fn slot_options<'a>(cfg: &GenConfig, prefix: impl Iterator<Item = &'a Inst> + Clone) -> Vec<Inst> {
+    gen_counters().lists.incr();
     let avail = available(cfg, prefix.clone());
     let live = cfg
         .prune
@@ -619,14 +646,25 @@ fn build_function<'a>(
     func
 }
 
+/// The shape bit of a prefix result a later prefix slot references.
+const REFERENCED: u8 = 0x80;
+
 /// Lazy exhaustive enumeration of the function space.
 pub struct ExhaustiveFunctions {
     cfg: GenConfig,
     /// Odometer indices, one per filled slot: slot `k` holds
     /// `options[k][indices[k]]`.
     indices: Vec<usize>,
-    /// Option lists per slot (computed from the chosen prefix).
-    options: Vec<Vec<Inst>>,
+    /// Option lists per filled slot, each shared with `lists`.
+    options: Vec<Arc<Vec<Inst>>>,
+    /// Every option list this walk has built, by the shape of the
+    /// prefix it follows: all [`slot_options`] reads of the prefix, one
+    /// byte per slot. That is the slot's [`Role`], plus [`REFERENCED`]
+    /// under [`Pruning::live_intermediates`] if a later prefix slot
+    /// uses it. At most roles^k lists per slot k (×2^k when pruned).
+    lists: HashMap<Vec<u8>, Arc<Vec<Inst>>>,
+    /// The shape being looked up (kept to reuse its buffer).
+    shape: Vec<u8>,
     counter: u64,
     done: bool,
 }
@@ -634,18 +672,25 @@ pub struct ExhaustiveFunctions {
 impl ExhaustiveFunctions {
     /// Starts enumeration.
     pub fn new(cfg: GenConfig) -> ExhaustiveFunctions {
-        assert!(cfg.num_insts >= 1, "need at least one instruction");
-        let mut e = ExhaustiveFunctions {
-            cfg,
-            indices: Vec::new(),
-            options: Vec::new(),
-            counter: 0,
-            done: false,
-        };
+        let mut e = ExhaustiveFunctions::unfilled(cfg, 0, false);
         if !e.fill_from(0) && !e.advance() {
             e.done = true;
         }
         e
+    }
+
+    /// A walk at `counter` with no slot filled.
+    fn unfilled(cfg: GenConfig, counter: u64, done: bool) -> ExhaustiveFunctions {
+        assert!(cfg.num_insts >= 1, "need at least one instruction");
+        ExhaustiveFunctions {
+            cfg,
+            indices: Vec::new(),
+            options: Vec::new(),
+            lists: HashMap::new(),
+            shape: Vec::new(),
+            counter,
+            done,
+        }
     }
 
     /// The instructions chosen at the filled slots, in slot order.
@@ -656,7 +701,30 @@ impl ExhaustiveFunctions {
             .map(|(opts, &ix)| &opts[ix])
     }
 
-    /// (Re)computes options and picks index 0 for slots `from..`.
+    /// The option list of the first unfilled slot: looked up by the
+    /// filled prefix's shape, and built by [`slot_options`] the first
+    /// time that shape comes up.
+    fn next_options(&mut self) -> Arc<Vec<Inst>> {
+        self.shape.clear();
+        for (opts, &ix) in self.options.iter().zip(&self.indices) {
+            if self.cfg.prune.live_intermediates {
+                opts[ix].for_each_operand(|v| {
+                    if let Value::Inst(id) = v {
+                        self.shape[id.0 as usize] |= REFERENCED;
+                    }
+                });
+            }
+            self.shape.push(role(&opts[ix]) as u8);
+        }
+        if let Some(opts) = self.lists.get(self.shape.as_slice()) {
+            return opts.clone();
+        }
+        let opts = Arc::new(slot_options(&self.cfg, self.chosen()));
+        self.lists.insert(self.shape.clone(), opts.clone());
+        opts
+    }
+
+    /// Looks up options and picks index 0 for slots `from..`.
     /// Returns `false` if some slot's (pruned) option list came up
     /// empty — the prefix admits no live completion; the partially
     /// filled slots are left for [`ExhaustiveFunctions::advance`] to
@@ -665,7 +733,7 @@ impl ExhaustiveFunctions {
         self.indices.truncate(from);
         self.options.truncate(from);
         for k in from..self.cfg.num_insts {
-            let opts = slot_options(&self.cfg, self.chosen());
+            let opts = self.next_options();
             if opts.is_empty() {
                 assert!(
                     self.cfg.prune.any(),
@@ -705,9 +773,11 @@ impl ExhaustiveFunctions {
     /// if [`Iterator::next`] were called `n` times and the results
     /// discarded — but jumps within the final slot's option list
     /// instead of building functions, so striding over a
-    /// cross-process shard's foreign residues costs a few index
-    /// additions per stride. The counter advances with the skip, so
-    /// `fz{n}` names and global corpus indices stay exact.
+    /// cross-process shard's foreign residues costs an index addition
+    /// per stride, plus one shape lookup per slot a carry refills
+    /// (the walk builds each option list once). The counter advances
+    /// with the skip, so `fz{n}` names and global corpus indices stay
+    /// exact.
     ///
     /// (Named to dodge [`Iterator::skip`], whose by-value receiver
     /// would win method resolution over an inherent `skip`.)
@@ -755,7 +825,7 @@ impl ExhaustiveFunctions {
     }
 
     /// Resumes enumeration at a cursor previously captured with
-    /// [`ExhaustiveFunctions::cursor`]. The option lists are recomputed
+    /// [`ExhaustiveFunctions::cursor`]. The option lists are looked up
     /// slot by slot, so a resumed iterator is indistinguishable from one
     /// that walked to the cursor itself.
     ///
@@ -770,14 +840,7 @@ impl ExhaustiveFunctions {
         counter: u64,
         done: bool,
     ) -> Result<ExhaustiveFunctions, String> {
-        assert!(cfg.num_insts >= 1, "need at least one instruction");
-        let mut e = ExhaustiveFunctions {
-            cfg,
-            indices: Vec::new(),
-            options: Vec::new(),
-            counter,
-            done,
-        };
+        let mut e = ExhaustiveFunctions::unfilled(cfg, counter, done);
         if done {
             return Ok(e);
         }
@@ -789,7 +852,7 @@ impl ExhaustiveFunctions {
             ));
         }
         for (k, &ix) in indices.iter().enumerate() {
-            let opts = slot_options(&e.cfg, e.chosen());
+            let opts = e.next_options();
             if ix >= opts.len() {
                 return Err(format!(
                     "slot {k}: cursor index {ix} out of range (0..{})",
@@ -1306,6 +1369,20 @@ mod tests {
                 .map(|f| frost_ir::function_to_string(&f)),
         );
         assert_eq!(walked, full, "resume must continue the guarded walk");
+    }
+
+    #[test]
+    fn a_walk_builds_one_list_per_prefix_shape() {
+        // Slot 1's options depend only on whether slot 0 yields an
+        // integer, a fact or nothing (a guard), not on which of the
+        // 209 slot-0 options was chosen.
+        let mut walk = enumerate_functions(GenConfig::guards(2));
+        assert_eq!(walk.by_ref().count(), 58_880);
+        let mut per_slot = [0; 2];
+        for shape in walk.lists.keys() {
+            per_slot[shape.len()] += 1;
+        }
+        assert_eq!(per_slot, [1, 3]);
     }
 
     /// FNV-1a (64-bit): a hash fixed here rather than borrowed from

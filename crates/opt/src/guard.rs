@@ -78,9 +78,6 @@ impl Pass for AssumeSimplify {
         func: &mut Function,
         fam: &mut FunctionAnalysisManager,
     ) -> PreservedAnalyses {
-        let dt = fam.get::<DomTreeAnalysis>(func);
-        let mut changed = false;
-
         // Collect the guard sites up front; the rewrites below only
         // edit operands (never move, add, or remove instructions), so
         // the recorded positions stay valid throughout.
@@ -92,6 +89,12 @@ impl Pass for AssumeSimplify {
                 }
             }
         }
+        // No guard, no fact: skip the dominator tree.
+        if sites.is_empty() {
+            return PreservedAnalyses::all();
+        }
+        let dt = fam.get::<DomTreeAnalysis>(func);
+        let mut changed = false;
 
         for (site_bb, pos, cond) in sites {
             let mut facts: Vec<Fact> = Vec::new();
@@ -517,6 +520,23 @@ exit:
             "the exit block is not dominated by the guard: {text}"
         );
         refines(&before, &after);
+    }
+
+    #[test]
+    fn assume_free_functions_build_no_dominator_tree() {
+        // Only a guard site needs the tree; a function without one
+        // leaves the analysis cache untouched.
+        let cached_dom_tree = |src: &str| {
+            let mut m = parse_module(src).unwrap();
+            let mut fam = FunctionAnalysisManager::new();
+            let pass = AssumeSimplify::new(PipelineMode::Fixed);
+            pass.run_on_function(&mut m.functions[0], &mut fam);
+            fam.cached::<DomTreeAnalysis>().is_some()
+        };
+        assert!(!cached_dom_tree(
+            "define i4 @f(i4 %x) {\nentry:\n  %r = add i4 %x, 3\n  ret i4 %r\n}"
+        ));
+        assert!(cached_dom_tree(BRANCHY_GUARD));
     }
 
     #[test]

@@ -252,8 +252,37 @@ cmp sweep-guard3.out sweep-expected3.out || {
     diff sweep-guard3.out sweep-expected3.out >&2 || true
     exit 1
 }
+# Large-stride residue classes: a shard of K=48 fast-forwards across
+# a carry every few functions, so these pin the walk's cursor through
+# those carries (the option lists it looks up rather than rebuilds),
+# byte for byte, in both the summary and the checkpoint.
+pin_stride() {
+    flags=$1 line=$2 cursor=$3
+    rm -f sweep-stride.jsonl
+    # shellcheck disable=SC2086
+    cargo run -q --release -p frost-bench --bin repro -- \
+        --experiment sweep $flags --checkpoint sweep-stride.jsonl \
+        | grep "^sweep:" > sweep-stride.out
+    echo "$line" > sweep-expected3.out
+    if ! cmp -s sweep-stride.out sweep-expected3.out ||
+        ! grep -qF "\"cursor\":$cursor,\"done\":false" sweep-stride.jsonl; then
+        echo "ci: 'repro -e sweep $flags' moved from its pinned line or cursor" >&2
+        diff sweep-stride.out sweep-expected3.out >&2 || true
+        exit 1
+    fi
+}
+pin_stride "--guards --insts 3 --shards 48 --shard-id 1 --budget 20000" \
+    "sweep: checked=20000 changed=18136 refined=20000 violations=0 inconclusive=0 complete=false" \
+    '[8,100,246],"counter":"959954"'
+pin_stride "--insts 3 --prune --shards 48 --shard-id 5 --budget 5000" \
+    "sweep: checked=5000 changed=2221 refined=5000 violations=0 inconclusive=0 complete=false" \
+    '[1,303,369],"counter":"239958"'
+pin_stride "--mem --insts 5 --shards 48 --shard-id 7 --budget 5000" \
+    "sweep: checked=5000 changed=4157 refined=5000 violations=0 inconclusive=0 complete=false" \
+    '[2,4,11,15,8],"counter":"239960"'
 rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl \
-    sweep-merged.out sweep-single3.out sweep-guard3.out sweep-expected3.out
+    sweep-merged.out sweep-single3.out sweep-guard3.out sweep-expected3.out \
+    sweep-stride.jsonl sweep-stride.out
 
 echo "==> textual IR roundtrip fidelity (full §6 corpus + 10k fuzz sample)"
 # Every function of the unsampled §6 exhaustive spaces, a 10k random
