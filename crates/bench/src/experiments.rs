@@ -648,6 +648,7 @@ fn sweep_bench_json(
 ) -> String {
     let (shard_id, shards) = run.shard.unwrap_or((0, 1));
     let stats = &report.stats;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let bitslice_passes = delta.counter("frost.core.bitslice.compiles");
     let tuples = delta.counter("frost.core.bitslice.tuples_per_pass");
     let round = |x: f64, places: i32| (x * 10f64.powi(places)).round() / 10f64.powi(places);
@@ -669,7 +670,9 @@ fn sweep_bench_json(
         .field("inconclusive", cp.inconclusive)
         .field("complete", cp.done)
         .field("wall_secs", round(stats.wall.as_secs_f64(), 3))
-        .field("fns_per_sec", round(stats.functions_per_sec, 1));
+        .field("fns_per_sec", round(stats.functions_per_sec, 1))
+        .field("nproc", nproc)
+        .field("workers", stats.workers);
     if let Some(mb) = peak_rss_mb() {
         record.field("peak_rss_mb", round(mb, 1));
     }

@@ -63,7 +63,7 @@ use frost_ir::{FunctionKey, Module};
 use crate::engine::{enumerate_function_mems, Batch, Engine};
 use crate::exec::{ExecError, Limits};
 use crate::fasthash::FastHashMap;
-use crate::mem::Memory;
+use crate::mem::{Memories, Memory};
 use crate::outcome::OutcomeSet;
 use crate::plan::is_self_contained;
 use crate::sem::Semantics;
@@ -143,11 +143,11 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
-        let mems = std::slice::from_ref(mem);
+        let mems = Memories::One(mem);
         let batch = self.enumerate_keyed_mems(
             fkey, module, name, inputs, mems, sem, limits, engine, salt, store,
         );
-        Arc::new(batch.pairs(mems))
+        Arc::new(batch.pairs(&mems))
     }
 
     /// Memoized [`enumerate_function_mems`]: every (memory, input) pair
@@ -186,7 +186,7 @@ impl OutcomeCache {
         module: &Module,
         name: &str,
         inputs: &[Vec<Val>],
-        mems: &[Memory],
+        mems: Memories<'_>,
         sem: Semantics,
         limits: Limits,
         engine: Engine,
@@ -326,7 +326,7 @@ mod tests {
                 &m,
                 "g",
                 &inputs(),
-                &[Memory::zeroed(0)],
+                Memories::One(&Memory::zeroed(0)),
                 sem,
                 Limits::default(),
                 engine,

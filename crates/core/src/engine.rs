@@ -16,12 +16,11 @@ use frost_ir::Module;
 use crate::bitslice::{BitslicePlan, Lanes};
 use crate::cache::EnumeratedOutcomes;
 use crate::exec::{reference, ExecError, Limits};
-use crate::fasthash::FastHashMap;
-use crate::mem::Memory;
+use crate::mem::{positions, ByteClasses, Memories, Memory, MemoryList};
 use crate::outcome::{Outcome, OutcomeSet};
 use crate::plan::{plan_counters, Machine, ModulePlan};
 use crate::sem::Semantics;
-use crate::val::{Bit, Val};
+use crate::val::Val;
 
 /// Which evaluator enumerates function behaviors.
 ///
@@ -93,6 +92,15 @@ impl Batch {
         match self {
             Batch::Lanes(lanes) => pair % lanes.lanes(),
             Batch::Pairs { index, .. } => index[pair] as usize,
+        }
+    }
+
+    /// How many distinct runs the batch holds: every
+    /// [`Batch::run_index`] is below it.
+    pub fn run_count(&self) -> usize {
+        match self {
+            Batch::Lanes(lanes) => lanes.lanes(),
+            Batch::Pairs { runs, .. } => runs.len(),
         }
     }
 
@@ -176,8 +184,8 @@ pub fn enumerate_function(
     limits: Limits,
     engine: Engine,
 ) -> EnumeratedOutcomes {
-    let mems = std::slice::from_ref(mem);
-    enumerate_function_mems(module, name, inputs, mems, sem, limits, engine).pairs(mems)
+    let mems = Memories::One(mem);
+    enumerate_function_mems(module, name, inputs, mems, sem, limits, engine).pairs(&mems)
 }
 
 /// Enumerates every behavior of `name` on every (memory, input) pair
@@ -188,30 +196,30 @@ pub fn enumerate_function(
 /// `frost_fuzz` validation — the concrete evaluators are
 /// implementation detail. A bit-sliced program runs once for all of
 /// `mems` and answers with [`Batch::Lanes`]; every other path answers
-/// with [`Batch::Pairs`]. The plan machine runs a tuple on a memory
-/// only when no earlier memory that agrees with it on the bytes an
-/// earlier run of that tuple touched has been run, and such a memory
-/// reuses that run ([`Batch::pair`]). [`Engine::Reference`], and every
-/// failure that precedes running (a function `module` does not define
-/// yields one [`ExecError::BadFunction`] per pair), make one run per
-/// pair.
+/// with [`Batch::Pairs`]. On a [`MemoryList`] with byte classes, the
+/// plan machine runs a tuple on a memory only if no earlier run of the
+/// tuple was made on a memory that agrees with it on the bytes that run
+/// touched; the lowest such run answers it ([`Batch::pair`]). Any other
+/// memories, [`Engine::Reference`], and every failure that precedes
+/// running (a function `module` does not define yields one
+/// [`ExecError::BadFunction`] per pair) make one run per pair.
 pub fn enumerate_function_mems(
     module: &Module,
     name: &str,
     inputs: &[Vec<Val>],
-    mems: &[Memory],
+    mems: Memories<'_>,
     sem: Semantics,
     limits: Limits,
     engine: Engine,
 ) -> Batch {
     if engine == Engine::Reference {
-        return each_pair(mems, inputs, |mem, args| {
+        return each_pair(&mems, inputs, |mem, args| {
             reference::enumerate_outcomes(module, name, args, mem, sem, limits)
         });
     }
     let (plan, idx) = match ModulePlan::compile_entry(module, name, sem) {
         Ok(compiled) => compiled,
-        Err(e) => return each_pair(mems, inputs, |_, _| Err(e.clone())),
+        Err(e) => return each_pair(&mems, inputs, |_, _| Err(e.clone())),
     };
     if engine != Engine::Plan {
         // The lowering depends on the inputs only, never on the memory:
@@ -220,7 +228,7 @@ pub fn enumerate_function_mems(
         match BitslicePlan::compile(&plan, idx, inputs, limits) {
             Ok(bp) => return Batch::Lanes(bp.evaluate()),
             Err(e) if engine == Engine::BitSliced => {
-                return each_pair(mems, inputs, |_, _| Err(e.clone()))
+                return each_pair(&mems, inputs, |_, _| Err(e.clone()))
             }
             Err(_) => {}
         }
@@ -230,15 +238,12 @@ pub fn enumerate_function_mems(
         let result = plan.enumerate(idx, args, mem, limits, &mut machine);
         (result, machine.touched())
     };
-    // Sharing compares bytes by position, so every memory must have the
-    // first one's layout; a touched mask covers 64 bytes.
-    let shareable = mems.len() > 1
-        && mems[0].size_bytes() <= 64
-        && mems.iter().all(|m| m.same_layout(&mems[0]));
-    if shareable {
-        shared_runs(mems, inputs, run)
-    } else {
-        each_pair(mems, inputs, |mem, args| run(mem, args).0)
+    match mems {
+        Memories::List(MemoryList {
+            mems,
+            classes: Some(classes),
+        }) => shared_runs(mems, classes, inputs, run),
+        _ => each_pair(&mems, inputs, |mem, args| run(mem, args).0),
     }
 }
 
@@ -260,135 +265,50 @@ fn each_pair(
     Batch::Pairs { runs, index }
 }
 
-/// `run` on each tuple, memory by memory, only where no earlier run of
-/// the tuple was made on a memory that agrees with this one on the
-/// bytes that run touched; such a pair is answered by that run.
+/// `run` on each tuple, lowest unanswered memory first: each run answers
+/// every memory not yet answered that agrees with the run's own on the
+/// bytes it touched ([`ByteClasses`]), so a memory is run only when no
+/// earlier run of the tuple was made on a memory that agrees with it
+/// there.
 fn shared_runs(
     mems: &[Memory],
+    classes: &ByteClasses,
     inputs: &[Vec<Val>],
     mut run: impl FnMut(&Memory, &[Val]) -> (Result<OutcomeSet, ExecError>, u64),
 ) -> Batch {
     let n = inputs.len();
     let mut runs: Vec<Run> = Vec::new();
     let mut index = vec![0; mems.len() * n];
-    let mut codes = ByteCodes::new(mems);
-    // Per touched mask among the current tuple's runs: the run made for
-    // each content on that mask, by [`ByteCodes::key`].
-    let mut classes: Vec<(u64, FastHashMap<u64, u32>)> = Vec::new();
-    let mut shared = 0;
+    // Every memory, as a bitset over the list.
+    let all: Vec<u64> = (0..mems.len().div_ceil(64))
+        .map(|w| u64::MAX >> (64 - (mems.len() - 64 * w).min(64)))
+        .collect();
+    let mut cover = all.clone();
     for (i, args) in inputs.iter().enumerate() {
-        classes.clear();
-        for mi in 0..mems.len() {
-            let found = classes.iter().find_map(|(mask, by_key)| {
-                let r = *by_key.get(&codes.key(mi, *mask))?;
-                codes
-                    .same(runs[r as usize].mem as usize, mi, *mask)
-                    .then_some(r)
+        let mut open = all.clone();
+        while let Some(w) = open.iter().position(|&word| word != 0) {
+            let mi = 64 * w + open[w].trailing_zeros() as usize;
+            let (result, touched) = run(&mems[mi], args);
+            let r = runs.len() as u32;
+            runs.push(Run {
+                result,
+                mem: mi as u32,
+                touched,
             });
-            index[mi * n + i] = match found {
-                Some(r) => {
-                    shared += 1;
-                    r
+            cover.copy_from_slice(&open);
+            classes.keep_agreeing(mi, touched, &mut cover);
+            for (w, (&answered, word)) in cover.iter().zip(&mut open).enumerate() {
+                *word &= !answered;
+                for bit in positions(answered) {
+                    index[(64 * w + bit) * n + i] = r;
                 }
-                None => {
-                    let (result, touched) = run(&mems[mi], args);
-                    let r = runs.len() as u32;
-                    runs.push(Run {
-                        result,
-                        mem: mi as u32,
-                        touched,
-                    });
-                    codes.fill(touched);
-                    let class = match classes.iter().position(|(mask, _)| *mask == touched) {
-                        Some(k) => k,
-                        None => {
-                            classes.push((touched, FastHashMap::default()));
-                            classes.len() - 1
-                        }
-                    };
-                    classes[class].1.entry(codes.key(mi, touched)).or_insert(r);
-                    r
-                }
-            };
-        }
-    }
-    plan_counters().shared.add(shared);
-    Batch::Pairs { runs, index }
-}
-
-/// Every memory's initial-region bytes as codes of two bits per bit,
-/// worked out position by position as touched masks first need them.
-/// A byte holding pointer bits has no code ([`UNCODED`]) and is
-/// compared bit by bit.
-struct ByteCodes<'m> {
-    mems: &'m [Memory],
-    /// Per byte position, one code per memory; empty until needed.
-    by_pos: Vec<Vec<u32>>,
-}
-
-const UNCODED: u32 = u32::MAX;
-
-impl<'m> ByteCodes<'m> {
-    fn new(mems: &'m [Memory]) -> ByteCodes<'m> {
-        let bytes = mems.first().map_or(0, |m| m.size_bytes() as usize);
-        ByteCodes {
-            mems,
-            by_pos: vec![Vec::new(); bytes],
-        }
-    }
-
-    /// Works out the codes of every position in `mask`.
-    fn fill(&mut self, mask: u64) {
-        for pos in positions(mask) {
-            if self.by_pos[pos].is_empty() {
-                let code = |m: &Memory| {
-                    m.initial_byte(pos).iter().try_fold(0, |code, bit| {
-                        let two = match bit {
-                            Bit::Zero => 0,
-                            Bit::One => 1,
-                            Bit::Poison => 2,
-                            Bit::Undef => 3,
-                            Bit::Ptr { .. } => return None,
-                        };
-                        Some(code << 2 | two)
-                    })
-                };
-                self.by_pos[pos] = self
-                    .mems
-                    .iter()
-                    .map(|m| code(m).unwrap_or(UNCODED))
-                    .collect();
             }
         }
     }
-
-    /// A key of memory `mi`'s bytes in a filled `mask`: equal bytes give
-    /// equal keys, and up to four bytes with codes never collide.
-    fn key(&self, mi: usize, mask: u64) -> u64 {
-        positions(mask).fold(0, |key, pos| {
-            key.rotate_left(16) ^ u64::from(self.by_pos[pos][mi])
-        })
-    }
-
-    /// Whether memories `a` and `b` hold the same bytes in a filled
-    /// `mask`.
-    fn same(&self, a: usize, b: usize, mask: u64) -> bool {
-        positions(mask).all(|pos| {
-            let codes = &self.by_pos[pos];
-            codes[a] == codes[b]
-                && (codes[a] != UNCODED
-                    || self.mems[a].initial_byte(pos) == self.mems[b].initial_byte(pos))
-        })
-    }
-}
-
-/// The byte positions set in `mask`, ascending.
-fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let pos = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
-        mask &= mask - 1;
-        Some(pos)
-    })
+    plan_counters()
+        .shared
+        .add((index.len() - runs.len()) as u64);
+    Batch::Pairs { runs, index }
 }
 
 #[cfg(test)]
@@ -435,13 +355,13 @@ mod tests {
         let zero = Memory::with_initial_blocks(&[1], Bit::Zero);
         let mut ones = zero.clone();
         assert!(ones.store_ptr(Ptr::Block { block: 0, off: 0 }, &[Bit::One; 8]));
-        let mems = [zero, ones];
+        let mems = MemoryList::new(vec![zero, ones]);
         let run = |engine| {
             enumerate_function_mems(
                 &m,
                 "f",
                 &i2_space(),
-                &mems,
+                Memories::List(&mems),
                 Semantics::legacy_gvn(),
                 Limits::default(),
                 engine,

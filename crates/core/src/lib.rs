@@ -69,7 +69,7 @@ pub use engine::{enumerate_function, enumerate_function_mems, Batch, Engine};
 pub use error::FrostError;
 pub use exec::{enumerate_outcomes, run_concrete, uninit_fill, ExecError, Limits, RunResult};
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
-pub use mem::Memory;
+pub use mem::{Memories, Memory, MemoryList};
 pub use outcome::{Event, Outcome, OutcomeSet};
 pub use plan::{is_self_contained, Machine, ModulePlan};
 pub use sem::{PoisonAction, SelectSemantics, Semantics};

@@ -19,6 +19,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::fasthash::FastHashMap;
 use crate::val::{Bit, Bits, Ptr};
 
 /// Which memory phase execution is in.
@@ -314,7 +315,7 @@ impl MemState {
     /// Whether `other` has this memory's blocks, block sizes and phase,
     /// and no block beyond the initial ones: then a program sees a
     /// difference between the two only through the bytes it loads.
-    pub(crate) fn same_layout(&self, other: &MemState) -> bool {
+    fn same_layout(&self, other: &MemState) -> bool {
         self.n_initial as usize == self.blocks.len()
             && self.n_initial == other.n_initial
             && self.phase == other.phase
@@ -332,7 +333,7 @@ impl MemState {
     /// # Panics
     ///
     /// Panics if `pos` lies past the initial blocks.
-    pub(crate) fn initial_byte(&self, pos: usize) -> &[Bit] {
+    fn initial_byte(&self, pos: usize) -> &[Bit] {
         let mut off = pos * 8;
         for b in &self.blocks[..self.n_initial as usize] {
             if off < b.bits.len() {
@@ -356,6 +357,110 @@ impl MemState {
             }
         }
     }
+}
+
+/// A list of initial memories that carries its byte classes, built once
+/// with the list: for each initial-region byte position, which memories
+/// hold exactly the same bits there. The plan engine reads them to give
+/// one run every memory that agrees with the run's own on the bytes it
+/// touched ([`crate::engine::enumerate_function_mems`]).
+#[derive(Debug)]
+pub struct MemoryList {
+    pub(crate) mems: Vec<Memory>,
+    /// `None` unless two or more memories share one layout of at most
+    /// 64 initial bytes; the engine runs any other list pair by pair.
+    pub(crate) classes: Option<ByteClasses>,
+}
+
+impl MemoryList {
+    /// `mems` with their byte classes.
+    pub fn new(mems: Vec<Memory>) -> MemoryList {
+        let classes = ByteClasses::of(&mems);
+        MemoryList { mems, classes }
+    }
+}
+
+impl std::ops::Deref for MemoryList {
+    type Target = [Memory];
+
+    fn deref(&self) -> &[Memory] {
+        &self.mems
+    }
+}
+
+/// The initial memories one enumeration runs over.
+#[derive(Clone, Copy, Debug)]
+pub enum Memories<'a> {
+    /// A single memory.
+    One(&'a Memory),
+    /// A list, with its byte classes.
+    List(&'a MemoryList),
+}
+
+impl std::ops::Deref for Memories<'_> {
+    type Target = [Memory];
+
+    fn deref(&self) -> &[Memory] {
+        match *self {
+            Memories::One(mem) => std::slice::from_ref(mem),
+            Memories::List(list) => list,
+        }
+    }
+}
+
+/// The byte classes of a [`MemoryList`]: per initial-region byte
+/// position, each memory's class there, interned from the byte's exact
+/// bits (pointer bits included), and each class's members as a bitset
+/// over the list (bit `mi % 64` of word `mi / 64` is memory `mi`).
+#[derive(Debug, Default)]
+pub(crate) struct ByteClasses {
+    class: Vec<Vec<u32>>,
+    members: Vec<Vec<Vec<u64>>>,
+}
+
+impl ByteClasses {
+    fn of(mems: &[Memory]) -> Option<ByteClasses> {
+        let first = mems.first()?;
+        let bytes = first.size_bytes() as usize;
+        if mems.len() < 2 || bytes > 64 || !mems.iter().all(|m| m.same_layout(first)) {
+            return None;
+        }
+        let mut classes = ByteClasses::default();
+        for pos in 0..bytes {
+            let mut ids: FastHashMap<&[Bit], u32> = FastHashMap::default();
+            let mut members: Vec<Vec<u64>> = Vec::new();
+            let class = mems.iter().enumerate().map(|(mi, m)| {
+                let next = members.len() as u32;
+                let c = *ids.entry(m.initial_byte(pos)).or_insert(next);
+                if c == next {
+                    members.push(vec![0; mems.len().div_ceil(64)]);
+                }
+                members[c as usize][mi / 64] |= 1 << (mi % 64);
+                c
+            });
+            classes.class.push(class.collect());
+            classes.members.push(members);
+        }
+        Some(classes)
+    }
+
+    /// Clears from `set`, a bitset over the list, every memory that
+    /// differs from memory `mi` on a byte position in `touched`.
+    pub(crate) fn keep_agreeing(&self, mi: usize, touched: u64, set: &mut [u64]) {
+        for pos in positions(touched) {
+            let members = &self.members[pos][self.class[pos][mi] as usize];
+            set.iter_mut().zip(members).for_each(|(word, m)| *word &= m);
+        }
+    }
+}
+
+/// The positions of the bits set in `mask`, ascending.
+pub(crate) fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let pos = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(pos)
+    })
 }
 
 /// The always-on memory counters (`frost.core.mem.*`; see

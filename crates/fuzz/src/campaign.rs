@@ -412,10 +412,12 @@ impl Campaign {
                     // Self-align to this process's residue class:
                     // jump over positions owned by other shards.
                     let stride = shards as u64;
-                    let ahead = (shard_id as u64 + stride - generator.position() % stride) % stride;
+                    let at = generator.position();
+                    let ahead = (shard_id as u64 + stride - at % stride) % stride;
                     if ahead > 0 {
+                        // The walk may end short of `ahead`, or be over.
                         generator.fast_forward(ahead);
-                        ctrs.skip_stride.add(ahead);
+                        ctrs.skip_stride.add(generator.position() - at);
                     }
                 }
                 let index = generator.position() as usize;

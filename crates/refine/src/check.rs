@@ -17,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 use frost_telemetry::Counter;
 
 use frost_core::{
-    enumerate_function_mems, is_self_contained, uninit_fill, Batch, Bit, Engine, FastHashSet,
-    Limits, Outcome, OutcomeCache, OutcomeSet, Semantics, Val,
+    enumerate_function_mems, is_self_contained, uninit_fill, Batch, Bit, Engine, Limits, Outcome,
+    OutcomeCache, OutcomeSet, Semantics, Val,
 };
 use frost_ir::{Function, FunctionKey, Module};
 
@@ -514,14 +514,14 @@ fn mem_space_too_large() -> CheckResult {
 /// `frost.refine.compare.materialized`.
 ///
 /// When both sides read one list ([`CheckMemories::is_shared`]), a
-/// pair's verdict depends only on its tuple's (source run, target run)
-/// combination: on a byte either run touched, every memory that run
-/// answers agrees with the memory it was made on, and on any other byte
-/// both sides read back the pair's own memory, which refines itself.
-/// So each combination is decided once, at its first pair, which is
-/// where the per-pair loop would first meet it; the first violation,
-/// and the input an inconclusive verdict blames, stay the per-pair
-/// loop's.
+/// pair's verdict depends only on its (source run, target run)
+/// combination, which also fixes its tuple: on a byte either run
+/// touched, every memory that run answers agrees with the memory it was
+/// made on, and on any other byte both sides read back the pair's own
+/// memory, which refines itself. So each combination is decided once,
+/// at its first pair ([`first_pairs`]), which is where the per-pair loop
+/// would first meet it; the first violation, and the input an
+/// inconclusive verdict blames, stay the per-pair loop's.
 fn compare(
     src: &Batch,
     tgt: &Batch,
@@ -548,14 +548,14 @@ fn compare(
     }
     refine_counters().materialized.incr();
     let n = tuples.len();
-    let shared = mems.is_shared();
-    let mut decided = FastHashSet::default();
-    for pair in 0..src_mems.len() * n {
+    let pairs = src_mems.len() * n;
+    let first = mems.is_shared().then(|| first_pairs(src, tgt, pairs));
+    for pair in 0..pairs {
         let args = &tuples[pair % n];
-        if shared && !decided.insert((src.run_index(pair), tgt.run_index(pair), pair % n)) {
+        if first.as_ref().is_some_and(|first| !first[pair]) {
             continue;
         }
-        let src_pair = src.pair(src_mems, pair);
+        let src_pair = src.pair(&src_mems, pair);
         let src = match src_pair.as_ref() {
             Ok(s) => s,
             Err(e) => return Some(inconclusive(e, args, "source")),
@@ -563,7 +563,7 @@ fn compare(
         if src.may_ub() {
             continue; // source UB grants total freedom on this input
         }
-        let tgt_pair = tgt.pair(tgt_mems, pair);
+        let tgt_pair = tgt.pair(&tgt_mems, pair);
         let tgt = match tgt_pair.as_ref() {
             Ok(s) => s,
             Err(e) => return Some(inconclusive(e, args, "target")),
@@ -575,6 +575,33 @@ fn compare(
         }
     }
     None
+}
+
+/// Whether each pair is the first, in pair order, of its (source run,
+/// target run) combination: walking each source run's pairs in order,
+/// a target run not yet stamped with that source run is met first. The
+/// scratch is a word per pair and per run.
+fn first_pairs(src: &Batch, tgt: &Batch, pairs: usize) -> Vec<bool> {
+    const END: usize = usize::MAX;
+    let mut head = vec![END; src.run_count()];
+    let mut next = vec![END; pairs];
+    for pair in (0..pairs).rev() {
+        let s = src.run_index(pair);
+        next[pair] = head[s];
+        head[s] = pair;
+    }
+    let mut stamp = vec![END; tgt.run_count()];
+    let mut first = vec![false; pairs];
+    for (s, &head) in head.iter().enumerate() {
+        let mut pair = head;
+        while pair != END {
+            let t = tgt.run_index(pair);
+            first[pair] = stamp[t] != s;
+            stamp[t] = s;
+            pair = next[pair];
+        }
+    }
+    first
 }
 
 /// Fingerprint of everything that shapes enumeration besides the
@@ -855,7 +882,7 @@ mod tests {
     #[test]
     fn a_store_on_one_branch_is_touched_for_every_memory() {
         use crate::inputs::{enumerate_inputs, enumerate_memories};
-        use frost_core::{enumerate_function_mems, Limits};
+        use frost_core::{enumerate_function_mems, Limits, Memories, MemoryList};
         let f = "define void @f(i8* %p) {\nentry:\n  %c = freeze i1 poison\n  \
                  br i1 %c, label %s, label %done\ns:\n  store i8 0, i8* %p\n  \
                  br label %done\ndone:\n  ret void\n}";
@@ -868,10 +895,18 @@ mod tests {
             .with_poison(false)
             .with_memory_values(true);
         let (tuples, blocks) = enumerate_inputs(tm.function("f").unwrap(), &inputs).unwrap();
-        let mems = enumerate_memories(&blocks, &inputs, uninit_fill(&sem)).unwrap();
+        let mems =
+            MemoryList::new(enumerate_memories(&blocks, &inputs, uninit_fill(&sem)).unwrap());
         let run = |engine| {
-            let all =
-                enumerate_function_mems(&tm, "f", &tuples, &mems, sem, Limits::default(), engine);
+            let all = enumerate_function_mems(
+                &tm,
+                "f",
+                &tuples,
+                Memories::List(&mems),
+                sem,
+                Limits::default(),
+                engine,
+            );
             all.pairs(&mems)
         };
         let reference = run(Engine::Reference);
@@ -894,6 +929,29 @@ mod tests {
         assert_eq!(
             ce.initial_mem.as_deref(),
             Some("b0 = [0x01 0x00 0x00 0x00]")
+        );
+        assert_eq!(format!("{cached:?}"), format!("{oracle:?}"));
+    }
+
+    /// A target that reads a byte the source does not splits each source
+    /// run's memories across several target runs, and every such (source
+    /// run, target run) combination must be decided: only those where
+    /// byte 1 is 0x01 or poison are violations.
+    #[test]
+    fn every_combination_of_a_source_run_is_decided() {
+        let src = "define i8 @f(i8* %p) {\nentry:\n  %v = load i8, i8* %p\n  ret i8 %v\n}";
+        let tgt = "define i8 @f(i8* %p) {\nentry:\n  %v = load i8, i8* %p\n  \
+                   %g = getelementptr inbounds i8, i8* %p, i32 1\n  %w = load i8, i8* %g\n  \
+                   %c = icmp eq i8 %w, 1\n  %r = select i1 %c, i8 7, i8 %v\n  ret i8 %r\n}";
+        let (sm, tm) = (parse_module(src).unwrap(), parse_module(tgt).unwrap());
+        let inputs = InputOptions::new().with_memory_values(true);
+        let opts = CheckOptions::new(Semantics::proposed()).with_inputs(inputs);
+        let cached = check_refinement_cached(&sm, "f", &tm, "f", &opts, &OutcomeCache::new());
+        let oracle = check_refinement(&sm, "f", &tm, "f", &opts.engine(Engine::Reference));
+        let ce = oracle.counterexample().expect("byte 1 = 0x01 returns 7");
+        assert_eq!(
+            ce.initial_mem.as_deref(),
+            Some("b0 = [0x00 0x01 0x00 0x00]")
         );
         assert_eq!(format!("{cached:?}"), format!("{oracle:?}"));
     }

@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use frost_core::{poison_of, undef_of, Bit, FastHashMap, Memory, Ptr, Val};
+use frost_core::{poison_of, undef_of, Bit, FastHashMap, Memories, Memory, MemoryList, Ptr, Val};
 use frost_ir::{Function, Ty};
 
 /// Options controlling input enumeration.
@@ -318,9 +318,9 @@ pub(crate) enum CheckMemories {
     /// in place.
     Single([Memory; 2]),
     /// The enumerated contents, one list both sides read, shared
-    /// through a process-wide memo. Every byte is set, so neither
-    /// side's uninitialized fill shows.
-    Enumerated(Arc<Vec<Memory>>),
+    /// through a process-wide memo with its byte classes. Every byte is
+    /// set, so neither side's uninitialized fill shows.
+    Enumerated(Arc<MemoryList>),
 }
 
 impl CheckMemories {
@@ -331,26 +331,26 @@ impl CheckMemories {
     }
 
     /// The source side's memories.
-    pub(crate) fn src(&self) -> &[Memory] {
+    pub(crate) fn src(&self) -> Memories<'_> {
         self.side(0)
     }
 
     /// The target side's memories.
-    pub(crate) fn tgt(&self) -> &[Memory] {
+    pub(crate) fn tgt(&self) -> Memories<'_> {
         self.side(1)
     }
 
-    fn side(&self, i: usize) -> &[Memory] {
+    fn side(&self, i: usize) -> Memories<'_> {
         match self {
-            CheckMemories::Single(m) => std::slice::from_ref(&m[i]),
-            CheckMemories::Enumerated(m) => m,
+            CheckMemories::Single(m) => Memories::One(&m[i]),
+            CheckMemories::Enumerated(list) => Memories::List(list),
         }
     }
 }
 
 /// Memo table type: block shape + options → the shared memory list (or
 /// the memoized failure).
-type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions), Option<Arc<Vec<Memory>>>>;
+type MemoryMemo = FastHashMap<(Vec<u32>, InputOptions), Option<Arc<MemoryList>>>;
 
 fn memory_memo() -> &'static Mutex<MemoryMemo> {
     static MEMO: OnceLock<Mutex<MemoryMemo>> = OnceLock::new();
@@ -364,10 +364,11 @@ fn memory_memo() -> &'static Mutex<MemoryMemo> {
 /// the fills never show and both sides read one list (4^total-bytes
 /// memories), memoized per (block shape, options) like
 /// [`enumerate_inputs_cached`]: every check of a memory sweep shares it
-/// instead of rebuilding hundreds of images, and the memo keeps each
-/// shape's list for the life of the process. Without it each side has
-/// one memory, the source's filled with `src_fill` and the target's
-/// with `tgt_fill`, built in place: no lock, no list.
+/// and its byte classes ([`MemoryList`]) instead of rebuilding hundreds
+/// of images, and the memo keeps each shape's list for the life of the
+/// process. Without it each side has one memory, the source's filled
+/// with `src_fill` and the target's with `tgt_fill`, built in place: no
+/// lock, no list.
 pub(crate) fn check_memories(
     block_sizes: &[u32],
     opts: &InputOptions,
@@ -386,7 +387,8 @@ pub(crate) fn check_memories(
     }
     // Enumerate outside the lock; a racing duplicate insert stores an
     // identical value.
-    let computed = enumerate_memories(block_sizes, opts, src_fill).map(Arc::new);
+    let computed =
+        enumerate_memories(block_sizes, opts, src_fill).map(|mems| Arc::new(MemoryList::new(mems)));
     memory_memo()
         .lock()
         .expect("memory memo lock")

@@ -20,6 +20,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "==> benchmark helper (perfbench/) builds and its unit tests pass"
+# perfbench calls public engine, cache and refine entry points, and its
+# `gen-input` / `check-input` make and check every input-workload run:
+# an API change that breaks it must fail here, not in a benchmark run.
+CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench
+
 echo "==> plan-vs-reference differential smoke (tests/exec_plan.rs)"
 # A thin §6 stride through both the plan engine and the retained
 # reference tree-walk, under both semantics — keeps the reference
@@ -33,13 +40,20 @@ echo "==> tiny-memory differential gate (tests/exec_plan.rs, frost-refine)"
 # deferred-vs-immediate OOB UB. Shared runs (one plan run answering
 # every memory that agrees on the bytes it touched) must give the
 # unshared reference checker's verdict text over the whole 3-inst
-# memory space, and a store on one branch must count as touched.
+# memory space, and a store on one branch must count as touched. Byte
+# classes must be exact on a hand-built list (pointer bits, undef vs
+# poison bits, twin memories), and compare must decide every (source
+# run, target run) combination.
 cargo test -q --release -p frost --test exec_plan \
     memory_programs_match_reference_over_every_tiny_memory
 cargo test -q --release -p frost --test exec_plan \
     shared_runs_give_the_reference_verdict_text_over_memories
+cargo test -q --release -p frost --test exec_plan \
+    hand_built_memory_lists_read_back_like_the_reference
 cargo test -q --release -p frost-refine --lib \
     a_store_on_one_branch_is_touched_for_every_memory
+cargo test -q --release -p frost-refine --lib \
+    every_combination_of_a_source_run_is_decided
 
 echo "==> telemetry smoke (docs/OBSERVABILITY.md contract)"
 # The quickstart with tracing on must produce a non-empty, schema-valid
@@ -97,7 +111,7 @@ echo "==> memory-domain exhaustive sweep (4-inst, every initial memory)"
 # The block-based memory domain enters the perf trajectory: the whole
 # 4-instruction memory-program space (alloca/load/store/gep/casts ×
 # every {0x00,0x01,0xFF,poison} initial memory) through the fixed
-# alias-aware GVN must complete with zero violations (0.6 s on 2
+# alias-aware GVN must complete with zero violations (0.4 s on 2
 # vCPU; 8.5-10.2 s before runs were shared across memories), and its
 # BENCH_mem.json record must pass the telemetry validator. Its summary must equal the EXPERIMENTS.md row byte for
 # byte, so a verdict flip anywhere in the space fails the gate.
@@ -128,8 +142,9 @@ rm -f sweep-mem-ci.out sweep-mem-summary.out sweep-mem-expected.out
 
 echo "==> memory-domain exhaustive sweep (5-inst, every initial memory)"
 # The same gate one instruction deeper: 869,113 memory programs, each
-# over all 256 initial memories (19.5 s and 101 MB peak RSS on 2
-# vCPU; 255 s and 2.4 GB before runs were shared across memories).
+# over all 256 initial memories (13.1-13.3 s and 102 MB peak RSS on 2
+# vCPU; 17.5-18.0 s before a run took its whole byte class, 255 s and
+# 2.4 GB before runs were shared across memories).
 # Its summary must equal the EXPERIMENTS.md line byte for byte.
 rm -f BENCH_mem5.json
 cargo run -q --release -p frost-bench --bin repro -- \
@@ -204,7 +219,7 @@ for flags in "--guards --prune" "--mem --guards"; do
 done
 rm -f sweep-refusal.err
 
-echo "==> 3-inst sharded sweep slice + merge smoke, pinned prefixes (bounded)"
+echo "==> 3-inst sharded sweep slice + merge smoke, pinned prefixes and stride skips (bounded)"
 # A bounded slice of the 3-instruction space (6.3B functions unpruned,
 # 87.5M after generation-time pruning) as a 2-process campaign: each
 # shard sweeps its residue class under a per-shard budget, then the
@@ -280,9 +295,27 @@ pin_stride "--insts 3 --prune --shards 48 --shard-id 5 --budget 5000" \
 pin_stride "--mem --insts 5 --shards 48 --shard-id 7 --budget 5000" \
     "sweep: checked=5000 changed=4157 refined=5000 violations=0 inconclusive=0 complete=false" \
     '[2,4,11,15,8],"counter":"239960"'
+# stride_skips counts the positions a shard crosses and none past the
+# end of the space: 1,224 for the last of 7 shards of the 1,428-function
+# 1-inst space, and 6,276,505,535 for a shard of 10^17 that checks
+# position 0 of the 6,276,505,536-function 3-inst space.
+pin_skips() {
+    skips=$1
+    shift
+    rm -f sweep-stride.json
+    cargo run -q --release -p frost-bench --bin repro -- \
+        --experiment sweep "$@" --bench-json sweep-stride.json >/dev/null
+    grep -qF "\"stride_skips\":$skips," sweep-stride.json || {
+        echo "ci: 'repro -e sweep $*' must record stride_skips $skips" >&2
+        cat sweep-stride.json >&2
+        exit 1
+    }
+}
+pin_skips 1224 --insts 1 --shards 7 --shard-id 6
+pin_skips 6276505535 --insts 3 --shards 100000000000000000 --shard-id 0 --budget 2
 rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl \
     sweep-merged.out sweep-single3.out sweep-guard3.out sweep-expected3.out \
-    sweep-stride.jsonl sweep-stride.out
+    sweep-stride.jsonl sweep-stride.out sweep-stride.json
 
 echo "==> textual IR roundtrip fidelity (full §6 corpus + 10k fuzz sample)"
 # Every function of the unsampled §6 exhaustive spaces, a 10k random

@@ -8,8 +8,8 @@
 use std::collections::BTreeSet;
 
 use frost::core::{
-    enumerate_function, enumerate_function_mems, uninit_fill, Batch, Engine, Limits, Memory,
-    Outcome, OutcomeCache, Semantics, Val,
+    enumerate_function, enumerate_function_mems, uninit_fill, Batch, Engine, Limits, Memories,
+    Memory, Outcome, OutcomeCache, Semantics, Val,
 };
 use frost::fuzz::{
     enumerate_functions, random_functions, Campaign, CampaignCheckpoint, GenConfig,
@@ -140,13 +140,13 @@ fn lane_checker_matches_set_checker_on_function_pairs() {
             .extend(enumerate_functions(cfg).step_by(11).take(48));
         let opts = CheckOptions::new(sem);
         let (tuples, block_sizes) = enumerate_inputs(&module.functions[0], &opts.inputs).unwrap();
-        let mems = [Memory::with_initial_blocks(&block_sizes, uninit_fill(&sem))];
+        let mem = Memory::with_initial_blocks(&block_sizes, uninit_fill(&sem));
         for f in &module.functions {
             let batch = enumerate_function_mems(
                 &module,
                 &f.name,
                 &tuples,
-                &mems,
+                Memories::One(&mem),
                 sem,
                 opts.limits,
                 Engine::Auto,

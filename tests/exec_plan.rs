@@ -8,8 +8,8 @@
 use frost::core::exec::reference;
 use frost::core::OutcomeCache;
 use frost::core::{
-    enumerate_function_mems, enumerate_outcomes, uninit_fill, Engine, ExecError, Limits, Machine,
-    Memory, ModulePlan, Semantics, Val,
+    enumerate_function_mems, enumerate_outcomes, uninit_fill, Bit, Engine, ExecError, Limits,
+    Machine, Memories, Memory, MemoryList, ModulePlan, Ptr, Semantics, Val,
 };
 use frost::fuzz::{enumerate_functions, random_functions, Campaign, GenConfig};
 use frost::ir::{parse_module, Function, Inst, Module, Ty, Value};
@@ -112,13 +112,14 @@ fn memory_programs_match_reference(sem: Semantics) {
         let (tuples, block_sizes) =
             enumerate_inputs(&module.functions[0], &opts).expect("memory inputs enumerate");
         let mems = enumerate_memories(&block_sizes, &opts, frost::core::uninit_fill(&sem))
+            .map(MemoryList::new)
             .expect("4^2 initial memories fit the cap");
         let limits = Limits::default();
         let plan = ModulePlan::compile(&module, sem);
         let idx = plan.function_index(&name).unwrap();
         let mut machine = Machine::new();
         let mut expected = Vec::new();
-        for mem in &mems {
+        for mem in mems.iter() {
             for args in &tuples {
                 let via_plan = plan.enumerate(idx, args, mem, limits, &mut machine);
                 let via_reference =
@@ -132,8 +133,16 @@ fn memory_programs_match_reference(sem: Semantics) {
             }
         }
         let batch = |engine| {
-            enumerate_function_mems(&module, &name, &tuples, &mems, sem, limits, engine)
-                .pairs(&mems)
+            enumerate_function_mems(
+                &module,
+                &name,
+                &tuples,
+                Memories::List(&mems),
+                sem,
+                limits,
+                engine,
+            )
+            .pairs(&mems)
         };
         for engine in [Engine::Reference, Engine::Plan, Engine::Auto] {
             assert_eq!(
@@ -293,6 +302,104 @@ fn shared_runs_give_the_reference_verdict_text_over_memories() {
         nonzero_mems > 0,
         "some counterexample must need a memory other than the first"
     );
+}
+
+/// Byte classes are interned from each byte's exact bits. On a memory
+/// list no enumerator builds — bytes holding pointer bits, bytes that
+/// differ only in an undef vs a poison bit, and repeated memories —
+/// every (memory, tuple) pair the shared plan engine reads back must be
+/// the reference's, under both semantics, and a memory must share the
+/// run of its twin.
+#[test]
+fn hand_built_memory_lists_read_back_like_the_reference() {
+    let module = parse_module(
+        "define i8 @byte(i8* %p) {\nentry:\n  %v = load i8, i8* %p\n  ret i8 %v\n}\n\
+         define i16 @wide(i8* %p) {\nentry:\n  %g = getelementptr inbounds i8, i8* %p, i32 1\n  \
+         %w = bitcast i8* %g to i16*\n  %v = load i16, i16* %w\n  ret i16 %v\n}\n\
+         define i8 @through(i8* %p) {\nentry:\n  %pp = bitcast i8* %p to i8**\n  \
+         %q = load i8*, i8** %pp\n  %v = load i8, i8* %q\n  ret i8 %v\n}\n\
+         define i32 @addr(i8* %p) {\nentry:\n  %pp = bitcast i8* %p to i8**\n  \
+         %q = load i8*, i8** %pp\n  %a = ptrtoint i8* %q to i32\n  ret i32 %a\n}\n\
+         define i8 @branch(i8* %p) {\nentry:\n  %v = load i8, i8* %p\n  %f = freeze i8 %v\n  \
+         %c = icmp eq i8 %f, 0\n  br i1 %c, label %a, label %b\na:\n  \
+         %g = getelementptr inbounds i8, i8* %p, i32 3\n  %w = load i8, i8* %g\n  ret i8 %w\n\
+         b:\n  store i8 1, i8* %p\n  ret i8 %f\n}",
+    )
+    .expect("the module parses");
+    let int = |v: u32| frost::core::lower(&Ty::i32(), &Val::int(32, u128::from(v)));
+    let ptr = |off: u32| {
+        frost::core::lower(
+            &Ty::ptr_to(Ty::i8()),
+            &Val::Ptr(Ptr::Block { block: 0, off }),
+        )
+    };
+    let with_bit = |bit: Bit| {
+        let mut bits = int(0x00FF_0100);
+        bits[2] = bit;
+        bits
+    };
+    let with_byte0 = |bit: Bit| {
+        let mut bits = int(0x00FF_0100);
+        bits[..8].fill(bit);
+        bits
+    };
+    let mut half_ptr = ptr(1);
+    half_ptr[16..].copy_from_slice(&int(0)[16..]);
+    let images = [
+        int(0x00FF_0100),
+        ptr(1),
+        ptr(2),
+        with_bit(Bit::Undef),
+        with_bit(Bit::Poison),
+        ptr(1),
+        int(0x00FF_0100),
+        with_byte0(Bit::Undef),
+        with_byte0(Bit::Poison),
+        half_ptr,
+    ];
+    let twins = [(0, 6), (1, 5)];
+    for sem in both_semantics() {
+        let list = MemoryList::new(
+            images
+                .iter()
+                .map(|bits| {
+                    let mut m = Memory::with_initial_blocks(&[4], uninit_fill(&sem));
+                    assert!(m.store_ptr(Ptr::Block { block: 0, off: 0 }, bits));
+                    m
+                })
+                .collect(),
+        );
+        for f in &module.functions {
+            let opts = InputOptions::new().with_undef(sem.has_undef);
+            let (tuples, block_sizes) = enumerate_inputs(f, &opts).expect("inputs enumerate");
+            assert_eq!(block_sizes, [4]);
+            let batch = |engine| {
+                enumerate_function_mems(
+                    &module,
+                    &f.name,
+                    &tuples,
+                    Memories::List(&list),
+                    sem,
+                    Limits::default(),
+                    engine,
+                )
+            };
+            let reference = batch(Engine::Reference).pairs(&list);
+            for engine in [Engine::Plan, Engine::Auto] {
+                let shared = batch(engine);
+                assert_eq!(
+                    shared.pairs(&list),
+                    reference,
+                    "{engine:?} under {} for:\n{f}",
+                    sem.name
+                );
+                let n = tuples.len();
+                for (i, (a, b)) in (0..n).flat_map(|i| twins.map(|twin| (i, twin))) {
+                    assert_eq!(shared.run_index(a * n + i), shared.run_index(b * n + i));
+                }
+            }
+        }
+    }
 }
 
 /// Random three-instruction functions from the seeded generator — the

@@ -9,10 +9,12 @@
 //! 2. those miss-path work counters are pinned separately: exact across
 //!    1-worker runs, with one plan compile per cache miss, and never
 //!    below the 1-worker count with more workers (a race only adds
-//!    work);
+//!    work); the memory campaigns' plan runs, shared pairs and compiles
+//!    at one worker are pinned to fixed values;
 //! 3. traced spans are *well-formed* — per-thread stack discipline,
 //!    every stop matches a start, and the rendered JSONL artifact
-//!    validates with zero unmatched events.
+//!    validates with zero unmatched events;
+//! 4. a process shard's stride skips stop at the end of the space.
 //!
 //! Telemetry state (the counter registry, the trace collector) is
 //! process-global, so these tests serialize on one mutex. Other test
@@ -53,6 +55,20 @@ fn run_memory_campaign(workers: usize) -> ValidationReport {
     Campaign::with_options(CheckOptions::new(Semantics::proposed()).with_inputs(inputs))
         .with_workers(workers)
         .run_random(&GenConfig::memory(3), 97, 60, |m| {
+            o2_pipeline(PipelineMode::Fixed).run(m);
+        })
+}
+
+/// The memory campaign at the mem sweep's block size: four bytes per
+/// pointer, so all 256 initial memories differ in bytes a run may or
+/// may not touch.
+fn run_wide_memory_campaign(workers: usize) -> ValidationReport {
+    let inputs = InputOptions::new()
+        .with_bytes_per_pointer(4)
+        .with_memory_values(true);
+    Campaign::with_options(CheckOptions::new(Semantics::proposed()).with_inputs(inputs))
+        .with_workers(workers)
+        .run_random(&GenConfig::memory(4), 97, 40, |m| {
             o2_pipeline(PipelineMode::Fixed).run(m);
         })
 }
@@ -183,6 +199,46 @@ fn miss_path_counters_are_exact_at_one_worker_and_only_grow_with_more() {
                 "{name}: {got} with {workers} workers, below the 1-worker {one}"
             );
         }
+    }
+}
+
+/// How the plan engine shares runs across initial memories is pinned by
+/// its work on both memory campaigns at one worker: runs made, pairs
+/// answered from another memory's run, and compiles. A different way of
+/// sharing may pick another run for a pair, but may not make one run
+/// more or share one pair fewer.
+#[test]
+fn memory_campaign_plan_work_is_pinned_at_one_worker() {
+    let _guard = telemetry_lock();
+    let plan_work = |campaign: fn(usize) -> ValidationReport| {
+        let before = telemetry::snapshot();
+        assert!(campaign(1).is_clean());
+        let delta = telemetry::snapshot().delta(&before);
+        ["runs", "shared", "compiles"].map(|name| delta.counter(&format!("frost.core.plan.{name}")))
+    };
+    assert_eq!(plan_work(run_memory_campaign), [335, 345, 85]);
+    assert_eq!(plan_work(run_wide_memory_campaign), [320, 33984, 67]);
+}
+
+/// `frost.fuzz.campaign.skip.stride` counts the positions a process
+/// shard fast-forwards across, none past the end of the space: each of
+/// 7 shards of the 1,428-function 1-inst arithmetic space checks 204
+/// functions and skips the 1,224 the other shards own.
+#[test]
+fn stride_skips_stop_at_the_end_of_the_space() {
+    let _guard = telemetry_lock();
+    for shard in 0..7 {
+        let before = telemetry::snapshot();
+        let (report, _) = Campaign::new(Semantics::proposed())
+            .with_process_shard(shard, 7)
+            .run_exhaustive(&GenConfig::arithmetic(1), None, |_| {});
+        let delta = telemetry::snapshot().delta(&before);
+        assert_eq!(report.total, 204, "shard {shard}");
+        assert_eq!(
+            delta.counter("frost.fuzz.campaign.skip.stride"),
+            1_428 - 204,
+            "shard {shard}"
+        );
     }
 }
 
