@@ -496,12 +496,9 @@ pub fn sweep(domain: Domain, run: &SweepRun) -> Result<(Table, String), FrostErr
         _ => None,
     };
     let mut campaign = Campaign::with_options(domain.options())
-        // On 2 vCPUs, chunks of 256 ran every perfbench sweep faster
-        // than 4096: guard3 +9% fn/s (4 of 4 pairs), arith2 +10% (4 of
-        // 4) and mem4 +13% (8 of 8; its 6,581-function slice is two
-        // 4096-chunks, one per worker). 4096 stays until the long CI
-        // sweeps are measured too. Checkpoints land on chunk
-        // boundaries either way.
+        // The campaign sizes chunks from the slice and the pool; a
+        // chunk is a cursor, so this cap bounds only a worker's
+        // imbalance at the end of a long sweep, not buffered functions.
         .with_shard_size(4096)
         .with_process_shard(shard_id, shards);
     if let Some(b) = run.budget {
@@ -672,7 +669,8 @@ fn sweep_bench_json(
         .field("wall_secs", round(stats.wall.as_secs_f64(), 3))
         .field("fns_per_sec", round(stats.functions_per_sec, 1))
         .field("nproc", nproc)
-        .field("workers", stats.workers);
+        .field("workers", stats.workers)
+        .field("chunks", stats.chunks);
     if let Some(mb) = peak_rss_mb() {
         record.field("peak_rss_mb", round(mb, 1));
     }

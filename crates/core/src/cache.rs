@@ -49,20 +49,22 @@
 //! miss is stored, later probes hit, and it is compiled again only when
 //! two workers race the same key.
 //!
-//! The cache is thread-safe (a mutexed map plus atomic hit/miss
-//! counters) and is shared by all workers of a parallel campaign. The
-//! map hashes with [`crate::fasthash::FastHasher`]: keys are in-process
+//! The cache is thread-safe and shared by all workers of a parallel
+//! campaign: lock stripes picked by the fingerprint's hash each hold a
+//! share of the map and count their own hits and misses, so workers
+//! probing different keys share no lock and no counter. The
+//! maps hash with [`crate::fasthash::FastHasher`]: keys are in-process
 //! fingerprints of generated IR, so the keyed DoS resistance of the
 //! default hasher buys nothing on this hot path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex};
 
 use frost_ir::{FunctionKey, Module};
 
 use crate::engine::{enumerate_function_mems, Batch, Engine};
 use crate::exec::{ExecError, Limits};
-use crate::fasthash::FastHashMap;
+use crate::fasthash::{FastBuildHasher, FastHashMap};
 use crate::mem::{Memories, Memory};
 use crate::outcome::OutcomeSet;
 use crate::plan::is_self_contained;
@@ -86,13 +88,23 @@ struct CacheKey {
     salt: u64,
 }
 
+/// Lock stripes per [`OutcomeCache`].
+const STRIPES: usize = 16;
+
+/// One lock stripe: its share of the entries and of the probe tallies.
+#[derive(Default)]
+#[repr(align(128))]
+struct Stripe {
+    map: FastHashMap<CacheKey, Arc<Batch>>,
+    hits: u64,
+    misses: u64,
+}
+
 /// A thread-safe memoization table for whole-function outcome
 /// enumeration. See the [module docs](self) for the key structure.
 #[derive(Default)]
 pub struct OutcomeCache {
-    map: Mutex<FastHashMap<CacheKey, Arc<Batch>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    stripes: [Mutex<Stripe>; STRIPES],
 }
 
 /// Process-wide mirrors of the per-cache hit/miss tallies, registered
@@ -204,51 +216,54 @@ impl OutcomeCache {
             engine,
             salt,
         };
-        if let Some(entry) = self.map.lock().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let stripe = &self.stripes[FastBuildHasher.hash_one(fkey) as usize % STRIPES];
+        let mut st = stripe.lock().expect("cache lock");
+        if let Some(entry) = st.map.get(&key).map(Arc::clone) {
+            st.hits += 1;
+            drop(st);
             global_cache_counters().0.incr();
-            return Arc::clone(entry);
+            return entry;
         }
+        st.misses += 1;
+        drop(st);
         // Enumerate outside the lock: enumeration is the expensive part
         // and holding the lock across it would serialize every worker.
         // Two workers may race on the same key and both enumerate; the
         // result is identical and the second insert is a harmless
         // overwrite.
-        self.misses.fetch_add(1, Ordering::Relaxed);
         global_cache_counters().1.incr();
         let entry = Arc::new(enumerate());
         if store {
-            self.map
+            stripe
                 .lock()
                 .expect("cache lock")
+                .map
                 .insert(key, Arc::clone(&entry));
         }
         entry
     }
 
+    /// The sum of `f` over the stripes.
+    fn sum<T: std::iter::Sum>(&self, f: impl Fn(&Stripe) -> T) -> T {
+        self.stripes
+            .iter()
+            .map(|s| f(&s.lock().expect("cache lock")))
+            .sum()
+    }
+
     /// Lookups answered from the table.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.sum(|s| s.hits)
     }
 
     /// Lookups that had to enumerate.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 for an unused cache.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits() as f64, self.misses() as f64);
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+        self.sum(|s| s.misses)
     }
 
     /// Distinct (function, semantics) combinations stored.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.sum(|s| s.map.len())
     }
 
     /// Returns `true` if nothing has been cached yet.
@@ -390,6 +405,39 @@ mod tests {
         // The self-contained callee is cached as usual.
         run(&a, "g");
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn striped_tallies_stay_exact_under_concurrency() {
+        // Eight threads probe the same 24 keys (four bodies, so several
+        // stripes, times six salts) in different orders; each key is
+        // stored on its first miss.
+        let bodies: Vec<Module> = [
+            "add i2 %x, 1",
+            "add i2 %x, 2",
+            "sub i2 %x, 1",
+            "mul i2 %x, 3",
+        ]
+        .iter()
+        .map(|inst| parse_module(&F.replace("add i2 %x, 1", inst)).unwrap())
+        .collect();
+        let cache = OutcomeCache::new();
+        let sem = Semantics::proposed();
+        let probes_per_thread = 240;
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (bodies, cache) = (&bodies, &cache);
+                s.spawn(move || {
+                    for i in 0..probes_per_thread {
+                        let k = (i + 5 * t) % 24;
+                        probe(cache, &bodies[k % 4], "g", &inputs(), sem, k as u64 / 4);
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.hits() + cache.misses(), 8 * probes_per_thread as u64);
+        assert_eq!(cache.len(), 24);
+        assert!(cache.misses() >= 24, "every key misses once");
     }
 
     #[test]

@@ -650,6 +650,7 @@ fn build_function<'a>(
 const REFERENCED: u8 = 0x80;
 
 /// Lazy exhaustive enumeration of the function space.
+#[derive(Clone)]
 pub struct ExhaustiveFunctions {
     cfg: GenConfig,
     /// Odometer indices, one per filled slot: slot `k` holds
@@ -672,15 +673,15 @@ pub struct ExhaustiveFunctions {
 impl ExhaustiveFunctions {
     /// Starts enumeration.
     pub fn new(cfg: GenConfig) -> ExhaustiveFunctions {
-        let mut e = ExhaustiveFunctions::unfilled(cfg, 0, false);
+        let mut e = ExhaustiveFunctions::unfilled(cfg);
         if !e.fill_from(0) && !e.advance() {
             e.done = true;
         }
         e
     }
 
-    /// A walk at `counter` with no slot filled.
-    fn unfilled(cfg: GenConfig, counter: u64, done: bool) -> ExhaustiveFunctions {
+    /// A walk at position 0 with no slot filled.
+    fn unfilled(cfg: GenConfig) -> ExhaustiveFunctions {
         assert!(cfg.num_insts >= 1, "need at least one instruction");
         ExhaustiveFunctions {
             cfg,
@@ -688,8 +689,8 @@ impl ExhaustiveFunctions {
             options: Vec::new(),
             lists: HashMap::new(),
             shape: Vec::new(),
-            counter,
-            done,
+            counter: 0,
+            done: false,
         }
     }
 
@@ -824,6 +825,11 @@ impl ExhaustiveFunctions {
         self.counter
     }
 
+    /// Whether the walk is over, without cloning its cursor.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
     /// Resumes enumeration at a cursor previously captured with
     /// [`ExhaustiveFunctions::cursor`]. The option lists are looked up
     /// slot by slot, so a resumed iterator is indistinguishable from one
@@ -840,29 +846,43 @@ impl ExhaustiveFunctions {
         counter: u64,
         done: bool,
     ) -> Result<ExhaustiveFunctions, String> {
-        let mut e = ExhaustiveFunctions::unfilled(cfg, counter, done);
+        let mut e = ExhaustiveFunctions::unfilled(cfg);
+        e.seat(indices, counter, done)?;
+        Ok(e)
+    }
+
+    /// Moves this walk to a cursor of its space, as
+    /// [`ExhaustiveFunctions::resume`] would start one, but keeps the
+    /// option lists it has built. A cursor `resume` refuses is an error
+    /// and leaves the walk over.
+    pub fn seat(&mut self, indices: &[usize], counter: u64, done: bool) -> Result<(), String> {
+        self.indices.clear();
+        self.options.clear();
+        self.counter = counter;
+        self.done = true;
         if done {
-            return Ok(e);
+            return Ok(());
         }
-        if indices.len() != e.cfg.num_insts {
+        if indices.len() != self.cfg.num_insts {
             return Err(format!(
                 "cursor has {} slots, config generates {} instructions",
                 indices.len(),
-                e.cfg.num_insts
+                self.cfg.num_insts
             ));
         }
         for (k, &ix) in indices.iter().enumerate() {
-            let opts = e.next_options();
+            let opts = self.next_options();
             if ix >= opts.len() {
                 return Err(format!(
                     "slot {k}: cursor index {ix} out of range (0..{})",
                     opts.len()
                 ));
             }
-            e.options.push(opts);
-            e.indices.push(ix);
+            self.options.push(opts);
+            self.indices.push(ix);
         }
-        Ok(e)
+        self.done = false;
+        Ok(())
     }
 }
 

@@ -191,8 +191,9 @@ struct CacheEntry {
     cfg_dependent: bool,
 }
 
-/// Telemetry handles for one analysis kind, resolved once per manager so
-/// steady-state cache traffic is plain atomic adds.
+/// Telemetry handles for one analysis kind, resolved once per thread
+/// ([`stats`]) so steady-state cache traffic is plain atomic adds.
+#[derive(Clone, Copy)]
 struct AnalysisStats {
     id: AnalysisId,
     hits: &'static Counter,
@@ -200,14 +201,26 @@ struct AnalysisStats {
     invalidations: &'static Counter,
 }
 
-fn resolve_stats(id: AnalysisId) -> AnalysisStats {
-    let name = id.name();
-    AnalysisStats {
-        id,
-        hits: counter(&format!("frost.ir.analysis.{name}.hits")),
-        misses: counter(&format!("frost.ir.analysis.{name}.misses")),
-        invalidations: counter(&format!("frost.ir.analysis.{name}.invalidations")),
+/// `id`'s handles: looked up in the metric registry the first time
+/// this thread asks, so a manager built per pass takes no lock.
+fn stats(id: AnalysisId) -> AnalysisStats {
+    thread_local! {
+        static RESOLVED: RefCell<Vec<AnalysisStats>> = const { RefCell::new(Vec::new()) };
     }
+    RESOLVED.with_borrow_mut(|resolved| {
+        if let Some(s) = resolved.iter().find(|s| s.id == id) {
+            return *s;
+        }
+        let name = id.name();
+        let s = AnalysisStats {
+            id,
+            hits: counter(&format!("frost.ir.analysis.{name}.hits")),
+            misses: counter(&format!("frost.ir.analysis.{name}.misses")),
+            invalidations: counter(&format!("frost.ir.analysis.{name}.invalidations")),
+        };
+        resolved.push(s);
+        s
+    })
 }
 
 /// Lazily computes and caches analyses for **one** function.
@@ -223,7 +236,6 @@ fn resolve_stats(id: AnalysisId) -> AnalysisStats {
 /// own.
 pub struct FunctionAnalysisManager {
     entries: RefCell<HashMap<AnalysisId, CacheEntry>>,
-    stats: RefCell<Vec<AnalysisStats>>,
     epoch: Cell<u64>,
     /// Fingerprint of the block graph at the time a CFG-dependent entry
     /// was last computed (debug-mode lie detection).
@@ -236,7 +248,6 @@ impl FunctionAnalysisManager {
     pub fn new() -> FunctionAnalysisManager {
         FunctionAnalysisManager {
             entries: RefCell::new(HashMap::new()),
-            stats: RefCell::new(Vec::new()),
             epoch: Cell::new(0),
             cfg_stamp: Cell::new(0),
             force_recompute: false,
@@ -264,15 +275,6 @@ impl FunctionAnalysisManager {
         self.epoch.get()
     }
 
-    fn with_stats<R>(&self, id: AnalysisId, f: impl FnOnce(&AnalysisStats) -> R) -> R {
-        let mut stats = self.stats.borrow_mut();
-        if let Some(s) = stats.iter().find(|s| s.id == id) {
-            return f(s);
-        }
-        stats.push(resolve_stats(id));
-        f(stats.last().expect("just pushed"))
-    }
-
     /// Returns the (possibly cached) result of analysis `A` on `func`.
     ///
     /// On a cache miss the result is computed — inside an
@@ -282,13 +284,13 @@ impl FunctionAnalysisManager {
         if !self.force_recompute {
             let cached = self.entries.borrow().get(&A::ID).map(|e| e.value.clone());
             if let Some(value) = cached {
-                self.with_stats(A::ID, |s| s.hits.incr());
+                stats(A::ID).hits.incr();
                 return value
                     .downcast::<A::Result>()
                     .expect("analysis id maps to one result type");
             }
         }
-        self.with_stats(A::ID, |s| s.misses.incr());
+        stats(A::ID).misses.incr();
         let value = if frost_telemetry::enabled() {
             let mut sp = frost_telemetry::span("ir.analysis.compute")
                 .field("analysis", A::ID.name())
@@ -340,7 +342,7 @@ impl FunctionAnalysisManager {
             });
             drop(entries);
             for id in dropped {
-                self.with_stats(id, |s| s.invalidations.incr());
+                stats(id).invalidations.incr();
             }
             self.epoch.set(self.epoch.get() + 1);
         }
@@ -359,7 +361,7 @@ impl FunctionAnalysisManager {
         }
         self.entries.borrow_mut().clear();
         for id in dropped {
-            self.with_stats(id, |s| s.invalidations.incr());
+            stats(id).invalidations.incr();
         }
         self.epoch.set(self.epoch.get() + 1);
     }

@@ -7,6 +7,7 @@
 //! checking over tiny integer types — and, with
 //! [`InputOptions::with_memory_values`], over tiny initial memories.
 
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use frost_core::{poison_of, undef_of, Bit, FastHashMap, Memories, Memory, MemoryList, Ptr, Val};
@@ -287,28 +288,51 @@ fn input_memo() -> &'static Mutex<InputMemo> {
     MEMO.get_or_init(|| Mutex::new(FastHashMap::default()))
 }
 
+/// `key`'s value in `memo`, computed outside the lock on a miss. A
+/// racing thread's duplicate is dropped, so every caller gets the one
+/// stored value.
+fn memoized<K: std::hash::Hash + Eq, V: Clone>(
+    memo: &Mutex<FastHashMap<K, V>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    if let Some(hit) = memo.lock().expect("memo lock").get(&key) {
+        return hit.clone();
+    }
+    let computed = compute();
+    memo.lock()
+        .expect("memo lock")
+        .entry(key)
+        .or_insert(computed)
+        .clone()
+}
+
 /// Memoized [`enumerate_inputs`]. The result depends only on the
 /// function's parameter types and the options, and §6 campaigns
 /// re-enumerate the same handful of signatures millions of times —
 /// checkers on the hot path share one materialized tuple list per
 /// signature instead of rebuilding it per check. Unenumerable
-/// signatures (`None`) are memoized too.
+/// signatures (`None`) are memoized too. Each thread answers a repeat
+/// of its last (signature, options) from a front of its own, with no
+/// key to build and no lock to take.
 pub fn enumerate_inputs_cached(func: &Function, opts: &InputOptions) -> Option<SharedInputs> {
-    let key = (
-        func.params.iter().map(|p| p.ty.clone()).collect::<Vec<_>>(),
-        *opts,
-    );
-    if let Some(hit) = input_memo().lock().expect("input memo lock").get(&key) {
-        return hit.clone();
+    type Front = Option<(Vec<Ty>, InputOptions, Option<SharedInputs>)>;
+    thread_local! {
+        static FRONT: RefCell<Front> = const { RefCell::new(None) };
     }
-    // Enumerate outside the lock; a racing duplicate insert stores an
-    // identical value.
-    let computed = enumerate_inputs(func, opts).map(Arc::new);
-    input_memo()
-        .lock()
-        .expect("input memo lock")
-        .insert(key, computed.clone());
-    computed
+    let params = || func.params.iter().map(|p| &p.ty);
+    let front = FRONT.with_borrow(|front| match front {
+        Some((tys, o, hit)) if o == opts && tys.iter().eq(params()) => Some(hit.clone()),
+        _ => None,
+    });
+    front.unwrap_or_else(|| {
+        let tys: Vec<Ty> = params().cloned().collect();
+        let shared = memoized(input_memo(), (tys.clone(), *opts), || {
+            enumerate_inputs(func, opts).map(Arc::new)
+        });
+        FRONT.set(Some((tys, *opts, shared.clone())));
+        shared
+    })
 }
 
 /// Both sides' candidate initial memories for one check, from
@@ -366,7 +390,8 @@ fn memory_memo() -> &'static Mutex<MemoryMemo> {
 /// [`enumerate_inputs_cached`]: every check of a memory sweep shares it
 /// and its byte classes ([`MemoryList`]) instead of rebuilding hundreds
 /// of images, and the memo keeps each shape's list for the life of the
-/// process. Without it each side has one memory, the source's filled
+/// process. A thread answers a repeat of its last (block shape,
+/// options) from its own front, as [`enumerate_inputs_cached`] does. Without it each side has one memory, the source's filled
 /// with `src_fill` and the target's with `tgt_fill`, built in place: no
 /// lock, no list.
 pub(crate) fn check_memories(
@@ -381,19 +406,23 @@ pub(crate) fn check_memories(
             Memory::with_initial_blocks(block_sizes, tgt_fill),
         ]));
     }
-    let key = (block_sizes.to_vec(), *opts);
-    if let Some(hit) = memory_memo().lock().expect("memory memo lock").get(&key) {
-        return hit.clone().map(CheckMemories::Enumerated);
+    type Front = Option<(Vec<u32>, InputOptions, Option<Arc<MemoryList>>)>;
+    thread_local! {
+        static FRONT: RefCell<Front> = const { RefCell::new(None) };
     }
-    // Enumerate outside the lock; a racing duplicate insert stores an
-    // identical value.
-    let computed =
-        enumerate_memories(block_sizes, opts, src_fill).map(|mems| Arc::new(MemoryList::new(mems)));
-    memory_memo()
-        .lock()
-        .expect("memory memo lock")
-        .insert(key, computed.clone());
-    computed.map(CheckMemories::Enumerated)
+    let front = FRONT.with_borrow(|front| match front {
+        Some((sizes, o, hit)) if o == opts && sizes == block_sizes => Some(hit.clone()),
+        _ => None,
+    });
+    let shared = front.unwrap_or_else(|| {
+        let shared = memoized(memory_memo(), (block_sizes.to_vec(), *opts), || {
+            enumerate_memories(block_sizes, opts, src_fill)
+                .map(|mems| Arc::new(MemoryList::new(mems)))
+        });
+        FRONT.set(Some((block_sizes.to_vec(), *opts, shared.clone())));
+        shared
+    });
+    shared.map(CheckMemories::Enumerated)
 }
 
 #[cfg(test)]

@@ -14,27 +14,45 @@
 //! registered names.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// A monotonically increasing atomic counter.
+/// Stripes per [`Counter`].
+const STRIPES: usize = 8;
+
+/// One stripe, alone on its cache line pair (x86 prefetches in pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Stripe(AtomicU64);
+
+/// This thread's stripe, picked round robin when it first counts.
+fn my_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
+
+/// A monotonically increasing atomic counter, striped across cache
+/// lines: an add touches only the calling thread's stripe.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    stripes: [Stripe; STRIPES],
 }
 
 impl Counter {
     /// A counter starting at zero.
     pub const fn new() -> Counter {
         Counter {
-            value: AtomicU64::new(0),
+            stripes: [const { Stripe(AtomicU64::new(0)) }; STRIPES],
         }
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.stripes[my_stripe()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -43,13 +61,18 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current value.
+    /// The current value: the sum of the stripes.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
     }
 
     fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        for s in &self.stripes {
+            s.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -388,8 +411,17 @@ pub fn reset_metrics() {
 mod tests {
     use super::*;
 
+    /// Serializes the tests here: `reset_metrics` zeroes every metric
+    /// another test may be reading.
+    fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn counters_intern_and_accumulate() {
+        let _metrics = metrics_lock();
         let a = counter("test.counters.a");
         let b = counter("test.counters.a");
         assert!(std::ptr::eq(a, b), "same name must intern to same handle");
@@ -400,7 +432,31 @@ mod tests {
     }
 
     #[test]
+    fn striped_counter_is_exact_under_concurrency() {
+        let _metrics = metrics_lock();
+        let c = counter("test.counters.striped");
+        let before = snapshot();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..100_000 {
+                        c.add(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 800_000);
+        assert_eq!(
+            snapshot().delta(&before).counter("test.counters.striped"),
+            800_000
+        );
+        reset_metrics();
+        assert_eq!(c.get(), 0);
+    }
+
+    #[test]
     fn gauge_tracks_peak() {
+        let _metrics = metrics_lock();
         let g = gauge("test.gauge.peak");
         g.set(5);
         g.record_max(3);
@@ -411,6 +467,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
+        let _metrics = metrics_lock();
         let h = histogram("test.hist.latency");
         for v in [0u64, 1, 1, 2, 1000, 1_000_000] {
             h.record(v);
@@ -426,6 +483,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta_isolates_a_region() {
+        let _metrics = metrics_lock();
         let c = counter("test.snapshot.region");
         let before = snapshot();
         c.add(7);

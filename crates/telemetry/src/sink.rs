@@ -190,7 +190,13 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
             if kind != "bench" {
                 return Err(obj.error(format!("unknown kind '{kind}'")));
             }
-            obj.str("experiment")?;
+            // Workers never outnumber a sweep's chunks; a pulled chunk had one.
+            if obj.str("experiment")? == "sweep" && obj.get("workers").is_some() {
+                let (workers, chunks) = (obj.u64("workers")?, obj.u64("chunks")?);
+                if workers > chunks || workers == 0 && chunks > 0 {
+                    return Err(obj.error(format!("{workers} workers for {chunks} chunks")));
+                }
+            }
             stats.bench += 1;
             continue;
         }
@@ -347,6 +353,34 @@ mod tests {
         assert!(
             validate_jsonl("{\"kind\":\"checkpoint\",\"experiment\":\"x\"}\n").is_err(),
             "only bench records are exempt from the event schema"
+        );
+    }
+
+    #[test]
+    fn validator_checks_a_sweep_pool_against_its_chunks() {
+        let record = |fields: &str| {
+            validate_jsonl(&format!(
+                "{{\"kind\":\"bench\",\"experiment\":\"sweep\",{fields}}}\n"
+            ))
+        };
+        for ok in [
+            "\"workers\":1,\"chunks\":1",
+            "\"workers\":2,\"chunks\":93",
+            "\"workers\":0,\"chunks\":0",
+        ] {
+            assert!(record(ok).is_ok(), "{ok}");
+        }
+        for bad in [
+            "\"workers\":2,\"chunks\":1",
+            "\"workers\":0,\"chunks\":4",
+            "\"workers\":1,\"chunks\":0",
+            "\"workers\":1",
+        ] {
+            assert!(record(bad).is_err(), "{bad}");
+        }
+        assert!(
+            validate_jsonl("{\"kind\":\"bench\",\"experiment\":\"fig6\",\"workers\":0}\n").is_ok(),
+            "only sweep records carry a pool"
         );
     }
 

@@ -312,6 +312,13 @@ pin_skips() {
     }
 }
 pin_skips 1224 --insts 1 --shards 7 --shard-id 6
+# That 204-function slice is one chunk, so the pool is one worker: a
+# campaign never starts more workers than it has chunks.
+grep -qF '"workers":1,"chunks":1,' sweep-stride.json || {
+    echo "ci: a one-chunk sweep must record one worker and one chunk" >&2
+    cat sweep-stride.json >&2
+    exit 1
+}
 pin_skips 6276505535 --insts 3 --shards 100000000000000000 --shard-id 0 --budget 2
 rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl \
     sweep-merged.out sweep-single3.out sweep-guard3.out sweep-expected3.out \

@@ -269,3 +269,110 @@ fn sequential_wrapper_matches_parallel_campaign_when_clean() {
     assert_eq!(seq.refined, par.refined);
     assert_eq!(seq.violations, par.violations);
 }
+
+/// Every worker builds its chunks' functions from its own walk, re-seated
+/// at the cursor the shared walk recorded: across worker counts and chunk
+/// sizes the functions checked must be exactly the shard's residue class
+/// of a serial walk — same positions, same `fz{n}` names, same bodies —
+/// and every run must end at the 1-worker run's checkpoint.
+#[test]
+fn workers_build_exactly_the_walks_residue_class() {
+    use frost::fuzz::ExhaustiveFunctions;
+    use std::sync::Mutex;
+
+    type Seen = Vec<(usize, String, FunctionKey)>;
+    // (space, shards K, shard id, budget): budgets end mid-chunk at
+    // every chunk size but 1; the memory and K = 1 runs go to the end.
+    let cases = [
+        (GenConfig::arithmetic(2), 48, 5, Some(100)),
+        (GenConfig::guards(2), 7, 3, Some(41)),
+        (GenConfig::memory(3), 5, 2, None),
+        (violating_cfg(1), 1, 0, None),
+    ];
+    for (cfg, shards, shard_id, budget) in cases {
+        let serial: Seen = ExhaustiveFunctions::new(cfg.clone())
+            .enumerate()
+            .skip(shard_id)
+            .step_by(shards)
+            .take(budget.unwrap_or(usize::MAX))
+            .map(|(i, f)| (i, f.name.clone(), FunctionKey::of(&f)))
+            .collect();
+        assert!(serial.len() > 1, "{cfg:?}");
+        let mut one_worker_cp = None;
+        for workers in [1, 2, 8] {
+            for shard_size in [1, 3, 64] {
+                let seen = Mutex::new(Seen::new());
+                let mut campaign = Campaign::new(Semantics::proposed())
+                    .with_workers(workers)
+                    .with_shard_size(shard_size)
+                    .with_process_shard(shard_id, shards);
+                if let Some(b) = budget {
+                    campaign = campaign.with_budget(b);
+                }
+                let (report, cp) = campaign.run_exhaustive(&cfg, None, |m: &mut Module| {
+                    let f = &m.functions[0];
+                    let index = f.name.strip_prefix("fz").unwrap().parse().unwrap();
+                    let key = FunctionKey::of(f);
+                    seen.lock().unwrap().push((index, f.name.clone(), key));
+                });
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|s| s.0);
+                let at = format!("{cfg:?} K={shards} at {workers} workers, chunks of {shard_size}");
+                assert!(seen == serial, "functions diverged from the walk: {at}");
+                assert_eq!(report.total, serial.len(), "{at}");
+                assert_eq!(cp.done, budget.is_none(), "{at}");
+                assert!(report.stats.workers <= report.stats.chunks, "{at}");
+                match &one_worker_cp {
+                    None => one_worker_cp = Some(cp),
+                    Some(first) => assert_eq!(first, &cp, "checkpoint diverged: {at}"),
+                }
+            }
+        }
+    }
+}
+
+/// A worker that unwinds stops the others pulling: with four workers
+/// on one-function chunks and a transform that panics on one spawned
+/// worker's first call, the campaign fails after at most one chunk per
+/// worker. The other workers finish their chunk only once the panicking
+/// worker's thread has exited, so after its unwinding stopped the pulls.
+#[test]
+fn a_panicking_worker_stops_the_pulls() {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+
+    static EXITED: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+    struct SignalOnExit;
+    impl Drop for SignalOnExit {
+        fn drop(&mut self) {
+            *EXITED.0.lock().unwrap() = true;
+            EXITED.1.notify_all();
+        }
+    }
+    thread_local! {
+        static ON_EXIT: RefCell<Option<SignalOnExit>> = const { RefCell::new(None) };
+    }
+
+    let caller = std::thread::current().id();
+    let (panicked, calls) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Campaign::new(Semantics::proposed())
+            .with_workers(4)
+            .with_shard_size(1)
+            .run_exhaustive(&GenConfig::arithmetic(1), None, |_m: &mut Module| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if std::thread::current().id() != caller && !panicked.swap(true, Ordering::SeqCst) {
+                    ON_EXIT.with_borrow_mut(|e| *e = Some(SignalOnExit));
+                    panic!("transform bug");
+                }
+                let mut exited = EXITED.0.lock().unwrap();
+                while !*exited {
+                    exited = EXITED.1.wait(exited).unwrap();
+                }
+            })
+    }));
+    assert!(run.is_err(), "the panic must fail the campaign");
+    let calls = calls.load(Ordering::SeqCst);
+    assert!(calls <= 4, "{calls} chunks checked after a worker died");
+}
