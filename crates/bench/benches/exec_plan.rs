@@ -65,9 +65,16 @@ exit:
             .len()
     });
     r.bench("reference_enumerate_two_freezes", || {
-        reference::enumerate_outcomes(&freeze_mod, "f", &[], &mem, sem, limits)
-            .expect("enumerates")
-            .len()
+        reference::enumerate_outcomes(
+            &freeze_mod,
+            &freeze_mod.functions[0],
+            &[],
+            &mem,
+            sem,
+            limits,
+        )
+        .expect("enumerates")
+        .len()
     });
 
     // The §6 inner loop: one generated function, all enumerated inputs.
@@ -97,9 +104,16 @@ exit:
         tuples
             .iter()
             .map(|args| {
-                reference::enumerate_outcomes(&module, &name, args, &fuzz_mem, sem, limits)
-                    .expect("enumerates")
-                    .len()
+                reference::enumerate_outcomes(
+                    &module,
+                    &module.functions[0],
+                    args,
+                    &fuzz_mem,
+                    sem,
+                    limits,
+                )
+                .expect("enumerates")
+                .len()
             })
             .sum::<usize>()
     });

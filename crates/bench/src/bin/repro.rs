@@ -7,7 +7,7 @@
 //!       [--prune] [--mem] [--guards] [--shards K] [--shard-id I] [--merge FILE]...
 //!       [--bench-json FILE]
 //!       [--trace] [--counters] [--validate-trace FILE]
-//! repro --input FILE.fir
+//! repro --input FILE.fir [--trace] [--counters]
 //! ```
 //!
 //! `--input FILE.fir` parses a textual frost IR module (see
@@ -94,6 +94,43 @@ fn validate_trace_file(path: &str) -> ! {
             std::process::exit(1);
         }
     }
+}
+
+/// Prints the counter deltas since `before` and, under `--trace`,
+/// writes, validates and profiles the trace. Returns 1 if the trace
+/// was malformed, else 0.
+fn report_telemetry(before: Option<frost_telemetry::Snapshot>, trace: bool) -> i32 {
+    if let Some(before) = before {
+        say!(
+            "{}",
+            counters_table(&frost_telemetry::snapshot().delta(&before))
+        );
+    }
+    if trace {
+        let events = frost_telemetry::drain();
+        let jsonl = frost_telemetry::render_jsonl(&events);
+        let path =
+            std::env::var("FROST_TRACE_FILE").unwrap_or_else(|_| "telemetry.jsonl".to_string());
+        if let Err(e) = std::fs::write(&path, &jsonl) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+        match frost_telemetry::validate_jsonl(&jsonl) {
+            Ok(stats) => {
+                say!("{}", profile_table(&stats, PROFILE_TOP_K));
+                say!(
+                    "wrote {path}: {} events ({} dropped by the ring buffer)",
+                    stats.lines,
+                    frost_telemetry::dropped_events()
+                );
+            }
+            Err(e) => {
+                eprintln!("internal error: emitted malformed telemetry: {e}");
+                return 1;
+            }
+        }
+    }
+    0
 }
 
 fn main() {
@@ -280,24 +317,22 @@ fn main() {
         std::process::exit(2);
     }
 
-    if let Some(path) = input {
-        match frost_bench::run_input(&path) {
-            Ok(report) => {
-                say!("{report}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     if trace {
         frost_telemetry::enable(frost_telemetry::TraceFormat::Jsonl);
         frost_telemetry::drain();
     }
     let before = counters.then(frost_telemetry::snapshot);
+
+    if let Some(path) = input {
+        match frost_bench::run_input(&path) {
+            Ok(report) => say!("{report}"),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
+        }
+        std::process::exit(report_telemetry(before, trace));
+    }
 
     let mut matched = false;
     let mut run = |name: &str| -> bool {
@@ -397,36 +432,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    if let Some(before) = before {
-        say!(
-            "{}",
-            counters_table(&frost_telemetry::snapshot().delta(&before))
-        );
-    }
-    if trace {
-        let events = frost_telemetry::drain();
-        let jsonl = frost_telemetry::render_jsonl(&events);
-        let path =
-            std::env::var("FROST_TRACE_FILE").unwrap_or_else(|_| "telemetry.jsonl".to_string());
-        if let Err(e) = std::fs::write(&path, &jsonl) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        match frost_telemetry::validate_jsonl(&jsonl) {
-            Ok(stats) => {
-                say!("{}", profile_table(&stats, PROFILE_TOP_K));
-                say!(
-                    "wrote {path}: {} events ({} dropped by the ring buffer)",
-                    stats.lines,
-                    frost_telemetry::dropped_events()
-                );
-            }
-            Err(e) => {
-                eprintln!("internal error: emitted malformed telemetry: {e}");
-                failures += 1;
-            }
-        }
-    }
+    failures += report_telemetry(before, trace);
     if failures > 0 {
         std::process::exit(1);
     }

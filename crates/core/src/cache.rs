@@ -60,10 +60,10 @@
 use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex};
 
-use frost_ir::{FunctionKey, Module};
+use frost_ir::{Function, FunctionKey, Module};
 
-use crate::engine::{enumerate_function_mems, Batch, Engine};
-use crate::exec::{ExecError, Limits};
+use crate::engine::{each_pair, enumerate_function_mems, Batch, Engine};
+use crate::exec::{entry, ExecError, Limits};
 use crate::fasthash::{FastBuildHasher, FastHashMap};
 use crate::mem::{Memories, Memory};
 use crate::outcome::OutcomeSet;
@@ -136,9 +136,10 @@ impl OutcomeCache {
         OutcomeCache::default()
     }
 
-    /// The one-memory case of [`OutcomeCache::enumerate_keyed_mems`],
-    /// whose docs cover `salt`, `store` and `fkey`, read back per tuple
-    /// ([`Batch::pairs`]).
+    /// The one-memory case of [`OutcomeCache::enumerate_keyed_mems`] for
+    /// `name`'s first definition, whose docs cover `salt`, `store` and
+    /// `fkey`, read back per tuple ([`Batch::pairs`]). An undefined
+    /// `name` yields one [`ExecError::BadFunction`] per tuple.
     // perfbench (perfbench/src/layers.rs) calls this with these ten
     // arguments, so the signature stays until that caller changes.
     #[allow(clippy::too_many_arguments)]
@@ -156,15 +157,19 @@ impl OutcomeCache {
         store: bool,
     ) -> Arc<EnumeratedOutcomes> {
         let mems = Memories::One(mem);
-        let batch = self.enumerate_keyed_mems(
-            fkey, module, name, inputs, mems, sem, limits, engine, salt, store,
-        );
+        let batch = match entry(module, name) {
+            Ok(func) => self.enumerate_keyed_mems(
+                fkey, module, func, inputs, mems, sem, limits, engine, salt, store,
+            ),
+            Err(e) => Arc::new(each_pair(&mems, inputs, |_, _| Err(e.clone()))),
+        };
         Arc::new(batch.pairs(&mems))
     }
 
     /// Memoized [`enumerate_function_mems`]: every (memory, input) pair
-    /// of `name` under one probe and one entry, the stored [`Batch`]
-    /// itself. A miss compiles the function once for the whole batch.
+    /// of `func`, a function of `module`, under one probe and one entry,
+    /// the stored [`Batch`] itself. A miss compiles the function once
+    /// for the whole batch.
     ///
     /// `salt` must fingerprint everything that shapes `inputs` and
     /// `mems` beyond the key. The memory list need not be part of it
@@ -183,12 +188,10 @@ impl OutcomeCache {
     /// the campaign's memory footprint bounded by the *target* shape
     /// count instead of the full enumerated space.
     ///
-    /// `fkey` must be `FunctionKey::of` of `name`'s body; a mismatched
-    /// key silently poisons the cache for that fingerprint. A function
-    /// that is not [self-contained](is_self_contained) is enumerated
-    /// without a probe and never stored; so is a `name` that `module`
-    /// does not define, which yields one [`ExecError::BadFunction`] per
-    /// pair.
+    /// `fkey` must be `FunctionKey::of(func)`; a mismatched key silently
+    /// poisons the cache for that fingerprint. A function that is not
+    /// [self-contained](is_self_contained) is enumerated without a probe
+    /// and never stored.
     // The twin of `enumerate_keyed`, whose ten arguments are fixed by
     // perfbench; the two signatures change together.
     #[allow(clippy::too_many_arguments)]
@@ -196,7 +199,7 @@ impl OutcomeCache {
         &self,
         fkey: &FunctionKey,
         module: &Module,
-        name: &str,
+        func: &Function,
         inputs: &[Vec<Val>],
         mems: Memories<'_>,
         sem: Semantics,
@@ -205,8 +208,8 @@ impl OutcomeCache {
         salt: u64,
         store: bool,
     ) -> Arc<Batch> {
-        let enumerate = || enumerate_function_mems(module, name, inputs, mems, sem, limits, engine);
-        if !module.function(name).is_some_and(is_self_contained) {
+        let enumerate = || enumerate_function_mems(module, func, inputs, mems, sem, limits, engine);
+        if !is_self_contained(func) {
             return Arc::new(enumerate());
         }
         let key = CacheKey {
@@ -334,12 +337,13 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cached, again);
         // A hit hands out the stored batch itself, not a copy.
-        let key = FunctionKey::of(m.function("g").unwrap());
+        let g = m.function("g").unwrap();
+        let key = FunctionKey::of(g);
         let stored = |engine| {
             cache.enumerate_keyed_mems(
                 &key,
                 &m,
-                "g",
+                g,
                 &inputs(),
                 Memories::One(&Memory::zeroed(0)),
                 sem,

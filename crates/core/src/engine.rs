@@ -11,11 +11,11 @@
 
 use std::borrow::Cow;
 
-use frost_ir::Module;
+use frost_ir::{Function, Module};
 
 use crate::bitslice::{BitslicePlan, Lanes};
 use crate::cache::EnumeratedOutcomes;
-use crate::exec::{reference, ExecError, Limits};
+use crate::exec::{entry, reference, ExecError, Limits};
 use crate::mem::{positions, ByteClasses, Memories, Memory, MemoryList};
 use crate::outcome::{Outcome, OutcomeSet};
 use crate::plan::{plan_counters, Machine, ModulePlan};
@@ -173,8 +173,9 @@ fn restamp(set: &OutcomeSet, mem: &Memory, touched: u64) -> OutcomeSet {
 /// per-tuple so callers reproduce the sequential checker's verdicts
 /// exactly.
 ///
-/// It is [`enumerate_function_mems`] over the one memory `mem`, read
-/// back per tuple.
+/// It is [`enumerate_function_mems`] of `name`'s first definition over
+/// the one memory `mem`, read back per tuple; a `name` that `module`
+/// does not define yields one [`ExecError::BadFunction`] per tuple.
 pub fn enumerate_function(
     module: &Module,
     name: &str,
@@ -185,12 +186,17 @@ pub fn enumerate_function(
     engine: Engine,
 ) -> EnumeratedOutcomes {
     let mems = Memories::One(mem);
-    enumerate_function_mems(module, name, inputs, mems, sem, limits, engine).pairs(&mems)
+    match entry(module, name) {
+        Ok(func) => enumerate_function_mems(module, func, inputs, mems, sem, limits, engine),
+        Err(e) => each_pair(&mems, inputs, |_, _| Err(e.clone())),
+    }
+    .pairs(&mems)
 }
 
-/// Enumerates every behavior of `name` on every (memory, input) pair
-/// using the chosen `engine`: the function is compiled, and the
-/// bit-sliced lowering attempted, once for the whole batch.
+/// Enumerates every behavior of `func`, a function of `module`, on
+/// every (memory, input) pair using the chosen `engine`: the function
+/// is compiled, and the bit-sliced lowering attempted, once for the
+/// whole batch. Its calls resolve in `module`.
 ///
 /// This is the single entry point behind `frost_refine::check` and
 /// `frost_fuzz` validation — the concrete evaluators are
@@ -201,11 +207,10 @@ pub fn enumerate_function(
 /// tuple was made on a memory that agrees with it on the bytes that run
 /// touched; the lowest such run answers it ([`Batch::pair`]). Any other
 /// memories, [`Engine::Reference`], and every failure that precedes
-/// running (a function `module` does not define yields one
-/// [`ExecError::BadFunction`] per pair) make one run per pair.
+/// running make one run per pair.
 pub fn enumerate_function_mems(
     module: &Module,
-    name: &str,
+    func: &Function,
     inputs: &[Vec<Val>],
     mems: Memories<'_>,
     sem: Semantics,
@@ -214,13 +219,10 @@ pub fn enumerate_function_mems(
 ) -> Batch {
     if engine == Engine::Reference {
         return each_pair(&mems, inputs, |mem, args| {
-            reference::enumerate_outcomes(module, name, args, mem, sem, limits)
+            reference::enumerate_outcomes(module, func, args, mem, sem, limits)
         });
     }
-    let (plan, idx) = match ModulePlan::compile_entry(module, name, sem) {
-        Ok(compiled) => compiled,
-        Err(e) => return each_pair(&mems, inputs, |_, _| Err(e.clone())),
-    };
+    let (plan, idx) = ModulePlan::compile_entry(module, func, sem);
     if engine != Engine::Plan {
         // The lowering depends on the inputs only, never on the memory:
         // eligible programs cannot touch memory, which reaches their
@@ -248,7 +250,7 @@ pub fn enumerate_function_mems(
 }
 
 /// `run` on every (memory, input) pair, memory-major: one run per pair.
-fn each_pair(
+pub(crate) fn each_pair(
     mems: &[Memory],
     inputs: &[Vec<Val>],
     mut run: impl FnMut(&Memory, &[Val]) -> Result<OutcomeSet, ExecError>,
@@ -359,7 +361,7 @@ mod tests {
         let run = |engine| {
             enumerate_function_mems(
                 &m,
-                "f",
+                &m.functions[0],
                 &i2_space(),
                 Memories::List(&mems),
                 Semantics::legacy_gvn(),

@@ -26,7 +26,7 @@
 
 pub mod reference;
 
-use frost_ir::Module;
+use frost_ir::{Function, Module};
 
 use crate::mem::Memory;
 use crate::outcome::{Outcome, OutcomeSet};
@@ -134,7 +134,7 @@ pub fn enumerate_outcomes(
     sem: Semantics,
     limits: Limits,
 ) -> Result<OutcomeSet, ExecError> {
-    let (plan, idx) = ModulePlan::compile_entry(module, name, sem)?;
+    let (plan, idx) = ModulePlan::compile_entry(module, entry(module, name)?, sem);
     plan.enumerate(idx, args, mem, limits, &mut Machine::new())
 }
 
@@ -157,8 +157,16 @@ pub fn run_concrete(
     sem: Semantics,
     limits: Limits,
 ) -> Result<(Outcome, u64), ExecError> {
-    let (plan, idx) = ModulePlan::compile_entry(module, name, sem)?;
+    let (plan, idx) = ModulePlan::compile_entry(module, entry(module, name)?, sem);
     plan.run_concrete(idx, args, mem, limits, &mut Machine::new())
+}
+
+/// The first definition of `name` in `module`: the function every
+/// engine runs for an entry or a callee of that name.
+pub(crate) fn entry<'m>(module: &'m Module, name: &str) -> Result<&'m Function, ExecError> {
+    module
+        .function(name)
+        .ok_or_else(|| ExecError::BadFunction(format!("no function @{name}")))
 }
 
 /// The memory-fill bit matching a semantics' treatment of uninitialized

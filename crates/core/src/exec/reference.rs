@@ -703,8 +703,8 @@ fn map_elements(v: &Val, result_ty: &Ty, f: impl Fn(&Val) -> Val) -> Val {
     }
 }
 
-/// Runs `name` on `args` with the given choice script — tree-walk
-/// implementation.
+/// Runs `func`, a function of `module`, on `args` with the given
+/// choice script — tree-walk implementation.
 ///
 /// # Errors
 ///
@@ -712,16 +712,13 @@ fn map_elements(v: &Val, result_ty: &Ty, f: impl Fn(&Val) -> Val) -> Val {
 /// programs; UB is a *successful* run with [`Outcome::Ub`].
 pub fn run_with_script(
     module: &Module,
-    name: &str,
+    func: &Function,
     args: &[Val],
     mem: &Memory,
     sem: Semantics,
     limits: Limits,
     script: &[u64],
 ) -> Result<RunResult, ExecError> {
-    let Some(func) = module.function(name) else {
-        return Err(ExecError::BadFunction(format!("no function @{name}")));
-    };
     let mut interp = Interp {
         module,
         sem,
@@ -745,9 +742,9 @@ pub fn run_with_script(
     }
 }
 
-/// Enumerates *every* behavior of `name` on `args` by exploring all
-/// choice scripts, restarting the interpreter per script (model-checker
-/// style) — tree-walk implementation.
+/// Enumerates *every* behavior of `func`, a function of `module`, on
+/// `args` by exploring all choice scripts, restarting the interpreter
+/// per script (model-checker style) — tree-walk implementation.
 ///
 /// The scripts share one growable buffer: a fork records the buffer
 /// length and counts its sibling choices down, and each exploration
@@ -762,7 +759,7 @@ pub fn run_with_script(
 /// program draws from an unenumerable domain (e.g. freezing a pointer).
 pub fn enumerate_outcomes(
     module: &Module,
-    name: &str,
+    func: &Function,
     args: &[Val],
     mem: &Memory,
     sem: Semantics,
@@ -783,7 +780,7 @@ pub fn enumerate_outcomes(
     if states > limits.max_states {
         return Err(ExecError::StateExplosion);
     }
-    match run_with_script(module, name, args, mem, sem, limits, &script)? {
+    match run_with_script(module, func, args, mem, sem, limits, &script)? {
         RunResult::Done(outcome) => {
             outcomes.insert(outcome);
         }
@@ -807,7 +804,7 @@ pub fn enumerate_outcomes(
         }
         script.truncate(fork_len);
         script.push(v);
-        match run_with_script(module, name, args, mem, sem, limits, &script)? {
+        match run_with_script(module, func, args, mem, sem, limits, &script)? {
             RunResult::Done(outcome) => {
                 outcomes.insert(outcome);
             }
@@ -836,9 +833,7 @@ pub fn run_concrete(
     sem: Semantics,
     limits: Limits,
 ) -> Result<(Outcome, u64), ExecError> {
-    let Some(func) = module.function(name) else {
-        return Err(ExecError::BadFunction(format!("no function @{name}")));
-    };
+    let func = super::entry(module, name)?;
     let mut interp = Interp {
         module,
         sem,
@@ -880,6 +875,7 @@ mod tests {
         sem: Semantics,
         limits: Limits,
     ) -> Result<OutcomeSet, ExecError> {
+        let func = module.function(name).expect("the test defines it");
         let mut outcomes = OutcomeSet::new();
         let mut stack: Vec<Vec<u64>> = vec![Vec::new()];
         let mut states: u64 = 0;
@@ -888,7 +884,7 @@ mod tests {
             if states > limits.max_states {
                 return Err(ExecError::StateExplosion);
             }
-            match run_with_script(module, name, args, mem, sem, limits, &script)? {
+            match run_with_script(module, func, args, mem, sem, limits, &script)? {
                 RunResult::Done(outcome) => {
                     outcomes.insert(outcome);
                 }
@@ -913,9 +909,15 @@ mod tests {
     fn shared_prefix_enumeration_matches_clone_per_fork() {
         let m = parse_module(FORKY).unwrap();
         for sem in [Semantics::proposed(), Semantics::legacy_gvn()] {
-            let shared =
-                enumerate_outcomes(&m, "f", &[], &Memory::zeroed(0), sem, Limits::default())
-                    .unwrap();
+            let shared = enumerate_outcomes(
+                &m,
+                &m.functions[0],
+                &[],
+                &Memory::zeroed(0),
+                sem,
+                Limits::default(),
+            )
+            .unwrap();
             let naive =
                 enumerate_naive(&m, "f", &[], &Memory::zeroed(0), sem, Limits::default()).unwrap();
             assert_eq!(shared, naive, "under {}", sem.name);
@@ -934,7 +936,7 @@ mod tests {
                 max_states,
                 ..Limits::default()
             };
-            let shared = enumerate_outcomes(&m, "f", &[], &mem, sem, limits);
+            let shared = enumerate_outcomes(&m, &m.functions[0], &[], &mem, sem, limits);
             let naive = enumerate_naive(&m, "f", &[], &mem, sem, limits);
             assert_eq!(
                 shared.is_ok(),
@@ -957,7 +959,7 @@ mod tests {
         assert!(init.store(Memory::BASE, &lower(&Ty::i8(), &Val::int(8, 0x5a))));
         let set = enumerate_outcomes(
             &m,
-            "f",
+            &m.functions[0],
             &[Val::ptr(Memory::BASE)],
             &init,
             Semantics::proposed(),
@@ -984,7 +986,7 @@ mod tests {
         let before = init.snapshot();
         let set = enumerate_outcomes(
             &m,
-            "f",
+            &m.functions[0],
             &[Val::ptr(Memory::BASE)],
             &init,
             Semantics::proposed(),

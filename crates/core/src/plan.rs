@@ -296,38 +296,25 @@ pub fn is_self_contained(func: &Function) -> bool {
 
 impl ModulePlan {
     /// Compiles every function of `module` for execution under `sem`.
+    /// A name defined twice resolves to its first definition, as in
+    /// every engine.
     pub fn compile(module: &Module, sem: Semantics) -> ModulePlan {
         let funcs: Vec<&Function> = module.functions.iter().collect();
-        let fn_index = funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), i as u32))
-            .collect();
+        let mut fn_index = HashMap::new();
+        for (i, f) in funcs.iter().enumerate() {
+            fn_index.entry(f.name.as_str()).or_insert(i as u32);
+        }
         ModulePlan::compile_functions(funcs, fn_index, module, sem)
     }
 
-    /// Compiles `name` and every function it can reach through `call`
-    /// — its call closure — for execution under `sem`, and returns the
-    /// plan with `name`'s index in it. Functions outside the closure
-    /// are never compiled, so one check of one function costs its
-    /// closure, not the module. Callee resolution, arity errors and
-    /// `declare`d/unknown callees behave exactly as under
-    /// [`ModulePlan::compile`].
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::BadFunction`] (`no function @name`) if `module`
-    /// defines no function `name`.
-    pub fn compile_entry(
-        module: &Module,
-        name: &str,
-        sem: Semantics,
-    ) -> Result<(ModulePlan, usize), ExecError> {
-        // Last definition wins, as in `compile`'s name index.
-        let find = |n: &str| module.functions.iter().rposition(|f| f.name == n);
-        let entry =
-            find(name).ok_or_else(|| ExecError::BadFunction(format!("no function @{name}")))?;
-        let entry = &module.functions[entry];
+    /// Compiles `entry`, a function of `module`, and every function it
+    /// can reach through `call` — its call closure — for execution under
+    /// `sem`, and returns the plan with `entry`'s index in it. Functions
+    /// outside the closure are never compiled, so one check of one
+    /// function costs its closure, not the module. Callee resolution
+    /// (to a name's first definition), arity errors and `declare`d/unknown
+    /// callees behave exactly as under [`ModulePlan::compile`].
+    pub fn compile_entry(module: &Module, entry: &Function, sem: Semantics) -> (ModulePlan, usize) {
         let mut funcs = vec![entry];
         let mut fn_index = HashMap::from([(entry.name.as_str(), 0u32)]);
         // Declared or unknown callees, remembered so each is looked up once.
@@ -339,10 +326,10 @@ impl ModulePlan {
                 if fn_index.contains_key(callee) || external.contains(callee) {
                     continue;
                 }
-                match find(callee) {
-                    Some(i) => {
+                match module.function(callee) {
+                    Some(f) => {
                         fn_index.insert(callee, funcs.len() as u32);
-                        funcs.push(&module.functions[i]);
+                        funcs.push(f);
                     }
                     None => {
                         external.insert(callee);
@@ -350,10 +337,10 @@ impl ModulePlan {
                 }
             }
         }
-        Ok((
+        (
             ModulePlan::compile_functions(funcs, fn_index, module, sem),
             0,
-        ))
+        )
     }
 
     /// Compiles `funcs` — closed under calls to functions `module`
@@ -1678,7 +1665,7 @@ mod tests {
         let m = parse_module(src).expect("parses");
         crate::exec::reference::enumerate_outcomes(
             &m,
-            name,
+            m.function(name).expect("defined"),
             args,
             &Memory::zeroed(0),
             sem,
@@ -1795,7 +1782,7 @@ b:
         assert_eq!(vals, vec![5, 7]);
         let r = crate::exec::reference::enumerate_outcomes(
             &m,
-            "f",
+            &m.functions[0],
             &[Val::ptr(Memory::BASE)],
             &mem,
             Semantics::proposed(),

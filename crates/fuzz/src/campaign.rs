@@ -540,13 +540,9 @@ impl Campaign {
     }
 
     /// The chunk loop behind [`run_indexed`](Campaign::run_indexed) and
-    /// [`run_exhaustive`](Campaign::run_exhaustive). Every worker loops
-    /// on one pull: lock `chunks`, check the stop flag and the deadline,
-    /// take the next chunk and its sequence number, unlock; `build` then
-    /// yields the chunk's functions from the worker's own state `W`.
-    /// The calling thread pulls each worker's first chunk before
-    /// starting it, and works as the last. A worker that unwinds stops
-    /// the pulls, and the campaign fails with its panic.
+    /// [`run_exhaustive`](Campaign::run_exhaustive): [`pull_chunks`]
+    /// with the deadline as its halt; `build` yields each chunk's
+    /// functions from the worker's own state `W`.
     ///
     /// Each chunk is tallied locally, then folded into the campaign's
     /// one shared tally and added to the `frost.fuzz.campaign.*`
@@ -567,28 +563,6 @@ impl Campaign {
         ctrs.runs.incr();
         let cache = OutcomeCache::new();
         let tally = Mutex::new(ValidationReport::default());
-        let source = Mutex::new(ChunkSource {
-            chunks,
-            pulled: 0,
-            stopped: false,
-            deadline_hit: false,
-        });
-        let pull = || {
-            let claim = Instant::now();
-            // A poisoned source means a pull panicked: stop.
-            let mut src = source.lock().ok()?;
-            if src.stopped {
-                return None;
-            }
-            src.deadline_hit = self.deadline.is_some_and(|d| start.elapsed() >= d);
-            let next = (!src.deadline_hit).then(|| src.chunks.next()).flatten();
-            let Some(chunk) = next else {
-                src.stopped = true;
-                return None;
-            };
-            src.pulled += 1;
-            Some((src.pulled - 1, chunk, claim.elapsed().as_nanos() as u64))
-        };
         let check_chunk = |state: &mut W, (seq, chunk, claim_ns): (usize, C, u64)| {
             ctrs.shards.incr();
             ctrs.claim_ns.record(claim_ns);
@@ -630,34 +604,10 @@ impl Campaign {
                 });
             }
         };
-        let work = |first| {
-            let _stop = StopOnUnwind(&source);
-            let mut state = W::default();
-            let mut next = Some(first);
-            while let Some(chunk) = next {
-                check_chunk(&mut state, chunk);
-                next = pull();
-            }
-        };
+        let deadline = || self.deadline.is_some_and(|d| start.elapsed() >= d);
+        let (workers, chunks, deadline_hit) =
+            pull_chunks(self.requested_workers(), chunks, deadline, check_chunk);
 
-        // One chunk per worker is pulled before any starts, so the pool
-        // never outnumbers the chunks.
-        let mut firsts: Vec<_> = std::iter::from_fn(&pull)
-            .take(self.requested_workers())
-            .collect();
-        let workers = firsts.len();
-        std::thread::scope(|s| {
-            let mine = firsts.pop();
-            for chunk in firsts {
-                let work = &work;
-                s.spawn(move || work(chunk));
-            }
-            if let Some(chunk) = mine {
-                work(chunk);
-            }
-        });
-
-        let src = source.into_inner().expect("a pull's panic ends the scope");
         let mut report = tally
             .into_inner()
             .expect("a worker panicked holding the tally");
@@ -667,13 +617,13 @@ impl Campaign {
         let wall = start.elapsed();
         report.stats = CampaignStats {
             workers,
-            chunks: src.pulled,
+            chunks,
             wall,
             functions_per_sec: per_sec(report.total, wall),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             cache_entries: cache.len(),
-            deadline_hit: src.deadline_hit,
+            deadline_hit,
             ..CampaignStats::default()
         };
         report
@@ -742,18 +692,84 @@ const CHUNKS_PER_WORKER: usize = 32;
 /// workers, and a pull stays rare next to its checks.
 const MIN_CHUNK: usize = 256;
 
+/// The one pull loop: runs `work` on every chunk of `chunks` over at
+/// most `workers` threads, the calling thread included. Every worker
+/// loops on one pull: lock `chunks`, check the stop flag and `halt`,
+/// take the next chunk and its sequence number, unlock; `work` then
+/// handles `(sequence number, chunk, nanoseconds the pull took)` with
+/// the worker's own state `W`. The calling thread pulls each worker's
+/// first chunk before starting it, and works as the last, so the pool
+/// never outnumbers the chunks and one chunk spawns no thread. A worker
+/// that unwinds stops the pulls, and the call fails with its panic once
+/// the others finish the chunk in hand. Returns the workers that ran
+/// (0 only when no chunk was), the chunks pulled, and whether `halt`
+/// stopped the pulls.
+pub fn pull_chunks<C: Send, W: Default>(
+    workers: usize,
+    chunks: impl Iterator<Item = C> + Send,
+    halt: impl Fn() -> bool + Sync,
+    work: impl Fn(&mut W, (usize, C, u64)) + Sync,
+) -> (usize, usize, bool) {
+    let source = Mutex::new(ChunkSource {
+        chunks,
+        pulled: 0,
+        stopped: false,
+        halted: false,
+    });
+    let pull = || {
+        let claim = Instant::now();
+        // A poisoned source means a pull panicked: stop.
+        let mut src = source.lock().ok()?;
+        if src.stopped {
+            return None;
+        }
+        src.halted = halt();
+        let next = (!src.halted).then(|| src.chunks.next()).flatten();
+        let Some(chunk) = next else {
+            src.stopped = true;
+            return None;
+        };
+        src.pulled += 1;
+        Some((src.pulled - 1, chunk, claim.elapsed().as_nanos() as u64))
+    };
+    let run = |first| {
+        let _stop = StopOnUnwind(&source);
+        let mut state = W::default();
+        let mut next = Some(first);
+        while let Some(chunk) = next {
+            work(&mut state, chunk);
+            next = pull();
+        }
+    };
+
+    let mut firsts: Vec<_> = std::iter::from_fn(&pull).take(workers).collect();
+    let started = firsts.len();
+    std::thread::scope(|s| {
+        let mine = firsts.pop();
+        for chunk in firsts {
+            let run = &run;
+            s.spawn(move || run(chunk));
+        }
+        if let Some(chunk) = mine {
+            run(chunk);
+        }
+    });
+    let src = source.into_inner().expect("a pull's panic ends the scope");
+    (started, src.pulled, src.halted)
+}
+
 /// The chunk source and pull state the workers share under one lock.
 struct ChunkSource<I> {
     chunks: I,
     /// Chunks handed out: the next chunk's sequence number.
     pulled: usize,
-    /// No more pulls: chunks out, deadline passed or a worker unwound.
+    /// No more pulls: chunks out, halted or a worker unwound.
     stopped: bool,
-    deadline_hit: bool,
+    halted: bool,
 }
 
 /// Stops the pulls when its worker unwinds, so the other workers
-/// finish the chunk in hand and the campaign fails with the panic.
+/// finish the chunk in hand and [`pull_chunks`] fails with the panic.
 struct StopOnUnwind<'a, I>(&'a Mutex<ChunkSource<I>>);
 
 impl<I> Drop for StopOnUnwind<'_, I> {

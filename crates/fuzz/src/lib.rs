@@ -35,7 +35,7 @@ pub mod checkpoint;
 pub mod gen;
 pub mod validate;
 
-pub use campaign::{Campaign, CampaignStats, Progress};
+pub use campaign::{pull_chunks, Campaign, CampaignStats, Progress};
 pub use checkpoint::CampaignCheckpoint;
 pub use gen::{
     enumerate_functions, random_functions, random_functions_range, ExhaustiveFunctions, GenConfig,

@@ -81,4 +81,6 @@ pub use text::{
 };
 pub use types::{Ty, MAX_INT_BITS, PTR_BITS};
 pub use value::{BlockId, Constant, InstId, Value};
-pub use verify::{verify_function, verify_function_legacy, verify_module, VerifyMode};
+pub use verify::{
+    verify_function, verify_function_legacy, verify_module, verify_module_uses_undef, VerifyMode,
+};

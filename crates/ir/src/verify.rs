@@ -46,16 +46,11 @@ pub fn verify_function_legacy(func: &Function) -> Result<(), Vec<String>> {
 ///
 /// Returns the list of diagnostics if the function is ill-formed.
 pub fn verify_function_mode(func: &Function, mode: VerifyMode) -> Result<(), Vec<String>> {
-    let mut v = Verifier {
-        func,
-        mode,
-        errors: Vec::new(),
-    };
-    v.run();
-    if v.errors.is_empty() {
+    let errors = Verifier::run(func, mode).errors;
+    if errors.is_empty() {
         Ok(())
     } else {
-        Err(v.errors)
+        Err(errors)
     }
 }
 
@@ -66,15 +61,28 @@ pub fn verify_function_mode(func: &Function, mode: VerifyMode) -> Result<(), Vec
 ///
 /// Returns diagnostics prefixed with the offending function's name.
 pub fn verify_module(module: &Module, mode: VerifyMode) -> Result<(), Vec<String>> {
+    verify_module_uses_undef(module, mode).map(drop)
+}
+
+/// [`verify_module`], also telling whether an operand was an
+/// `undef`-bearing constant. The modes differ only in rejecting those,
+/// so a [`VerifyMode::Legacy`] walk that returns `Ok(false)` means
+/// [`VerifyMode::Proposed`] accepts the module too.
+///
+/// # Errors
+///
+/// Returns [`verify_module`]'s diagnostics.
+pub fn verify_module_uses_undef(module: &Module, mode: VerifyMode) -> Result<bool, Vec<String>> {
     let mut errors = Vec::new();
+    let mut uses_undef = false;
     let mut names = HashSet::new();
     for f in &module.functions {
         if !names.insert(f.name.as_str()) {
             errors.push(format!("duplicate definition of @{}", f.name));
         }
-        if let Err(errs) = verify_function_mode(f, mode) {
-            errors.extend(errs.into_iter().map(|e| format!("@{}: {e}", f.name)));
-        }
+        let v = Verifier::run(f, mode);
+        uses_undef |= v.uses_undef;
+        errors.extend(v.errors.into_iter().map(|e| format!("@{}: {e}", f.name)));
         // Check call signatures against the module.
         for bb in f.block_ids() {
             for &id in &f.block(bb).insts {
@@ -108,7 +116,7 @@ pub fn verify_module(module: &Module, mode: VerifyMode) -> Result<(), Vec<String
         }
     }
     if errors.is_empty() {
-        Ok(())
+        Ok(uses_undef)
     } else {
         Err(errors)
     }
@@ -118,6 +126,8 @@ struct Verifier<'a> {
     func: &'a Function,
     mode: VerifyMode,
     errors: Vec<String>,
+    /// An operand was a constant containing `undef`.
+    uses_undef: bool,
 }
 
 impl<'a> Verifier<'a> {
@@ -125,17 +135,24 @@ impl<'a> Verifier<'a> {
         self.errors.push(msg);
     }
 
-    fn run(&mut self) {
-        if self.func.blocks.is_empty() {
-            self.err("function has no blocks".to_string());
-            return;
+    fn run(func: &'a Function, mode: VerifyMode) -> Verifier<'a> {
+        let mut v = Verifier {
+            func,
+            mode,
+            errors: Vec::new(),
+            uses_undef: false,
+        };
+        if func.blocks.is_empty() {
+            v.err("function has no blocks".to_string());
+            return v;
         }
-        self.check_block_structure();
-        self.check_types();
-        if self.errors.is_empty() {
+        v.check_block_structure();
+        v.check_types();
+        if v.errors.is_empty() {
             // Dominance checking assumes structure/types are sane.
-            self.check_dominance();
+            v.check_dominance();
         }
+        v
     }
 
     fn check_block_structure(&mut self) {
@@ -211,6 +228,7 @@ impl<'a> Verifier<'a> {
                 Some(self.func.params[*i as usize].ty.clone())
             }
             Value::Const(c) => {
+                self.uses_undef |= c.contains_undef();
                 if self.mode == VerifyMode::Proposed && c.contains_undef() {
                     self.err(format!(
                         "{where_}: undef constant is not permitted under the proposed semantics"

@@ -312,7 +312,8 @@ fn metered(cached: bool, check: impl FnOnce() -> CheckResult) -> CheckResult {
 }
 
 /// Checks that `tgt_fn` (in `tgt_module`) refines `src_fn` (in
-/// `src_module`) on every enumerable input.
+/// `src_module`) on every enumerable input. Each name means its first
+/// definition, the one every engine runs under that name.
 ///
 /// This is [`check_refinement_cached`]'s check with each side
 /// enumerated afresh instead of probed, so it never touches an
@@ -325,7 +326,23 @@ pub fn check_refinement(
     opts: &CheckOptions,
 ) -> CheckResult {
     metered(false, || {
-        check_impl(src_module, src_fn, tgt_module, tgt_fn, opts, None)
+        let (sf, tf) = (src_module.function(src_fn), tgt_module.function(tgt_fn));
+        check_impl(src_module, sf, tgt_module, tf, opts, None)
+    })
+}
+
+/// [`check_refinement`] of `tgt`, a function of `tgt_module`, against
+/// `src`, a function of `src_module`, with no lookup by name. Each
+/// side's calls resolve in its own module.
+pub fn check_refinement_fn(
+    src_module: &Module,
+    src: &Function,
+    tgt_module: &Module,
+    tgt: &Function,
+    opts: &CheckOptions,
+) -> CheckResult {
+    metered(false, || {
+        check_impl(src_module, Some(src), tgt_module, Some(tgt), opts, None)
     })
 }
 
@@ -373,8 +390,8 @@ pub fn check_refinement_cached_policy(
     policy: CheckPolicy,
 ) -> CheckResult {
     metered(true, || {
-        let cache = Some((cache, policy));
-        check_impl(src_module, src_fn, tgt_module, tgt_fn, opts, cache)
+        let (sf, tf) = (src_module.function(src_fn), tgt_module.function(tgt_fn));
+        check_impl(src_module, sf, tgt_module, tf, opts, Some((cache, policy)))
     })
 }
 
@@ -383,13 +400,13 @@ pub fn check_refinement_cached_policy(
 /// directly otherwise — and the two batches are compared.
 fn check_impl(
     src_module: &Module,
-    src_fn: &str,
+    sf: Option<&Function>,
     tgt_module: &Module,
-    tgt_fn: &str,
+    tf: Option<&Function>,
     opts: &CheckOptions,
     cache: Option<(&OutcomeCache, CheckPolicy)>,
 ) -> CheckResult {
-    let (Some(sf), Some(tf)) = (src_module.function(src_fn), tgt_module.function(tgt_fn)) else {
+    let (Some(sf), Some(tf)) = (sf, tf) else {
         return CheckResult::Inconclusive("function not found".to_string());
     };
     if !signatures_match(sf, tf) {
@@ -406,11 +423,11 @@ fn check_impl(
     let tgt_key = FunctionKey::of(tf);
     let salt = input_salt(&opts.inputs, block_sizes);
     let store_src = !cache.is_some_and(|(_, policy)| policy.transient_src);
-    let batch = |key, module, name, mems, sem, store| match cache {
+    let batch = |key, module, func, mems, sem, store| match cache {
         Some((cache, _)) => cache.enumerate_keyed_mems(
             key,
             module,
-            name,
+            func,
             tuples,
             mems,
             sem,
@@ -421,7 +438,7 @@ fn check_impl(
         ),
         None => Arc::new(enumerate_function_mems(
             module,
-            name,
+            func,
             tuples,
             mems,
             sem,
@@ -451,7 +468,7 @@ fn check_impl(
         let all = batch(
             &tgt_key,
             tgt_module,
-            tgt_fn,
+            tf,
             mems.tgt(),
             opts.tgt_sem,
             store_src,
@@ -472,12 +489,12 @@ fn check_impl(
     let src_all = batch(
         &src_key,
         src_module,
-        src_fn,
+        sf,
         mems.src(),
         opts.src_sem,
         store_src,
     );
-    let tgt_all = batch(&tgt_key, tgt_module, tgt_fn, mems.tgt(), opts.tgt_sem, true);
+    let tgt_all = batch(&tgt_key, tgt_module, tf, mems.tgt(), opts.tgt_sem, true);
     compare(&src_all, &tgt_all, tuples, block_sizes, &mems, |mi| {
         opts.inputs
             .memory_values
@@ -900,7 +917,7 @@ mod tests {
         let run = |engine| {
             let all = enumerate_function_mems(
                 &tm,
-                "f",
+                &tm.functions[0],
                 &tuples,
                 Memories::List(&mems),
                 sem,
@@ -962,6 +979,40 @@ mod tests {
         assert!(opts.src_sem.has_undef);
         assert!(!opts.tgt_sem.has_undef);
         assert!(opts.inputs.include_undef, "undef inputs follow the source");
+    }
+
+    #[test]
+    fn every_engine_checks_the_first_of_two_definitions() {
+        // `parse_module` admits a name defined twice; only the verifier
+        // rejects it, and these entry points do not verify. Each pair
+        // below refines when every name means its first definition and
+        // is UNSOUND when @f or the callee @h means its nsw second.
+        let m = parse_module(
+            "define i2 @f(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  %b = or i2 %a, 0\n  ret i2 %b\n}\n\
+             define i2 @f(i2 %x) {\nentry:\n  %a = add nsw i2 %x, 1\n  ret i2 %a\n}\n\
+             define i2 @h(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  ret i2 %a\n}\n\
+             define i2 @h(i2 %x) {\nentry:\n  %a = add nsw i2 %x, 1\n  ret i2 %a\n}\n\
+             define i2 @c(i2 %x) {\nentry:\n  %r = call i2 @h(i2 %x)\n  ret i2 %r\n}\n\
+             define i2 @g(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  ret i2 %a\n}",
+        )
+        .unwrap();
+        let verdict = |tgt, engine| {
+            let opts = CheckOptions::new(Semantics::proposed()).engine(engine);
+            match check_refinement(&m, "g", &m, tgt, &opts) {
+                CheckResult::Refines => "sound".to_string(),
+                CheckResult::CounterExample(ce) => format!("UNSOUND — {ce}"),
+                CheckResult::Inconclusive(why) => format!("inconclusive: {why}"),
+            }
+        };
+        for tgt in ["f", "c"] {
+            for engine in [Engine::Reference, Engine::Plan, Engine::Auto] {
+                assert_eq!(
+                    verdict(tgt, engine),
+                    "sound",
+                    "@g -> @{tgt} under {engine:?}"
+                );
+            }
+        }
     }
 
     #[test]

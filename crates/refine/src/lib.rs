@@ -39,8 +39,8 @@ pub mod inputs;
 pub mod lattice;
 
 pub use check::{
-    check_refinement, check_refinement_cached, check_refinement_cached_policy, check_transform,
-    CheckOptions, CheckPolicy, CheckResult, CounterExample,
+    check_refinement, check_refinement_cached, check_refinement_cached_policy, check_refinement_fn,
+    check_transform, CheckOptions, CheckPolicy, CheckResult, CounterExample,
 };
 pub use inputs::{
     enumerate_inputs, enumerate_inputs_cached, enumerate_memories, InputOptions, SharedInputs,

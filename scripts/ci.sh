@@ -365,11 +365,16 @@ grep -q "@widen -> @widen.tgt: UNSOUND" input-ci.out || {
 }
 # A pair whose bodies differ only in the helper they call: the verdict
 # must come from the callee's body, so each side's call closure is
-# compiled and checked through the CLI.
+# compiled and checked through the CLI. `--counters` prints its table
+# after the report: one pair and two plain functions make three checks.
 cargo run -q --release -p frost-bench --bin repro -- \
-    --input examples/callee_swap.fir | tee input-ci.out
+    --input examples/callee_swap.fir --counters | tee input-ci.out
 grep -q "@f -> @f.tgt: UNSOUND" input-ci.out || {
     echo "ci: swapping in the nsw helper no longer caught as unsound" >&2
+    exit 1
+}
+grep -q "^frost.refine.checks  *3 *$" input-ci.out || {
+    echo "ci: repro --input --counters must print frost.refine.checks = 3" >&2
     exit 1
 }
 # An i2 freeze removal, bit-sliced on both sides: the two sides are
@@ -421,6 +426,24 @@ bad_input 'define i32 @f() {' 'entry:' '  ret i32 0 b:' '}'
 bad_input 'define i8 @f(<4294967296 x i8> %v) {' 'entry:' \
     '  %e = extractelement <4294967296 x i8> %v, i32 0' '  ret i8 %e' '}'
 rm -f "$bad" "$bad.err"
+
+echo "==> repro --input at benchmark scale (perfbench gen-input / check-input, seed 7)"
+# The input workload's 100 modules (150-600 functions each) through the
+# real CLI. check-input re-derives each canonical module with module-level
+# O2 and requires `sound` for every function in module order: a reference
+# for the per-function O2, the pooled checks and the by-position pairing
+# that owes nothing to them.
+gate=$(mktemp -d)
+target/release/perfbench gen-input --seed 7 --out "$gate" >/dev/null
+for fir in "$gate"/in*.fir; do
+    "${CARGO_TARGET_DIR:-target}"/release/repro --input "$fir" >"${fir%.fir}.out"
+done
+target/release/perfbench check-input --dir "$gate" | tee "$gate/check.json"
+grep -q '"files":100,' "$gate/check.json" && grep -q '"failed":0,' "$gate/check.json" || {
+    echo "ci: perfbench check-input must read 100 files and 0 failed" >&2
+    exit 1
+}
+rm -rf "$gate"
 
 echo "==> checkpoint kill/resume determinism smoke"
 # Interrupt a small sweep mid-flight with a tight budget, resume it

@@ -144,7 +144,7 @@ fn lane_checker_matches_set_checker_on_function_pairs() {
         for f in &module.functions {
             let batch = enumerate_function_mems(
                 &module,
-                &f.name,
+                f,
                 &tuples,
                 Memories::One(&mem),
                 sem,

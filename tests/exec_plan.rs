@@ -38,7 +38,7 @@ fn assert_plan_matches_reference(f: &Function, sem: Semantics) {
     let mut machine = Machine::new();
     for args in &tuples {
         let via_plan = plan.enumerate(idx, args, &mem, limits, &mut machine);
-        let via_reference = reference::enumerate_outcomes(&module, &name, args, &mem, sem, limits);
+        let via_reference = reference::enumerate_outcomes(&module, f, args, &mem, sem, limits);
         assert_eq!(
             via_plan, via_reference,
             "engines diverged under {} on args {args:?} for:\n{module}",
@@ -123,7 +123,7 @@ fn memory_programs_match_reference(sem: Semantics) {
             for args in &tuples {
                 let via_plan = plan.enumerate(idx, args, mem, limits, &mut machine);
                 let via_reference =
-                    reference::enumerate_outcomes(&module, &name, args, mem, sem, limits);
+                    reference::enumerate_outcomes(&module, f, args, mem, sem, limits);
                 assert_eq!(
                     via_plan, via_reference,
                     "engines diverged under {} on args {args:?}, memory {mem:?} for:\n{module}",
@@ -135,7 +135,7 @@ fn memory_programs_match_reference(sem: Semantics) {
         let batch = |engine| {
             enumerate_function_mems(
                 &module,
-                &name,
+                &module.functions[0],
                 &tuples,
                 Memories::List(&mems),
                 sem,
@@ -376,7 +376,7 @@ fn hand_built_memory_lists_read_back_like_the_reference() {
             let batch = |engine| {
                 enumerate_function_mems(
                     &module,
-                    &f.name,
+                    f,
                     &tuples,
                     Memories::List(&list),
                     sem,
@@ -431,7 +431,7 @@ fn assert_closure_matches_whole_module(src: &str) -> Vec<(String, usize)> {
         sizes.clear();
         for f in &module.functions {
             let name = &f.name;
-            let (closure, idx) = ModulePlan::compile_entry(&module, name, sem).expect("defined");
+            let (closure, idx) = ModulePlan::compile_entry(&module, f, sem);
             assert_eq!(closure.function_index(name), Some(idx));
             sizes.push((name.clone(), closure.num_functions()));
             let whole_idx = whole.function_index(name).unwrap();
@@ -443,7 +443,7 @@ fn assert_closure_matches_whole_module(src: &str) -> Vec<(String, usize)> {
                 let via_closure = closure.enumerate(idx, args, &mem, limits, &mut machine);
                 let via_whole = whole.enumerate(whole_idx, args, &mem, limits, &mut machine);
                 let via_reference =
-                    reference::enumerate_outcomes(&module, name, args, &mem, sem, limits);
+                    reference::enumerate_outcomes(&module, f, args, &mem, sem, limits);
                 assert_eq!(
                     via_closure, via_whole,
                     "closure and whole module diverged under {} on @{name}{args:?}",
@@ -607,10 +607,6 @@ entry:
         run("missing"),
         Err(ExecError::BadFunction("no function @missing".into()))
     );
-    assert_eq!(
-        ModulePlan::compile_entry(&module, "missing", Semantics::proposed()).err(),
-        Some(ExecError::BadFunction("no function @missing".into()))
-    );
 }
 
 /// The guard against checking one function costing the whole module: a
@@ -621,8 +617,7 @@ fn call_free_entry_compiles_alone_in_a_large_module() {
     module.functions = random_functions(GenConfig::arithmetic(3), 0xC105, 400);
     assert_eq!(module.functions.len(), 400);
     for f in module.functions.iter().step_by(37) {
-        let (plan, idx) =
-            ModulePlan::compile_entry(&module, &f.name, Semantics::proposed()).unwrap();
+        let (plan, idx) = ModulePlan::compile_entry(&module, f, Semantics::proposed());
         assert_eq!(
             plan.num_functions(),
             1,

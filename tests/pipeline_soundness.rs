@@ -5,6 +5,7 @@
 
 use frost::core::Semantics;
 use frost::fuzz::{enumerate_functions, random_functions, validate_transform, GenConfig};
+use frost::ir::{module_to_string, FunctionAnalysisManager, FunctionBuilder};
 use frost::opt::{cleanup_pipeline, o2_pipeline, PipelineMode};
 
 #[test]
@@ -118,6 +119,69 @@ fn pipelines_are_idempotent_on_their_own_output() {
         pm.run(&mut m);
         let twice = frost::ir::module_to_string(&m);
         assert_eq!(once, twice, "pipeline is not idempotent");
+    }
+}
+
+#[test]
+fn per_function_o2_equals_module_o2() {
+    // `repro --input` runs O2 function by function, which matches the
+    // module pipeline only while every O2 pass is function-local. The
+    // module mixes the 4-instruction arith, guard and memory spaces, and
+    // every fifth function has a caller, so a module-level pass (an
+    // inliner, say) added to O2 changes the module run alone.
+    let spaces = [
+        ("a", GenConfig::arithmetic(4)),
+        ("g", GenConfig::guards(4)),
+        ("m", GenConfig::memory(4)),
+    ];
+    let mut m = frost::ir::Module::new();
+    for (s, (prefix, cfg)) in spaces.into_iter().enumerate() {
+        for (i, mut f) in random_functions(cfg, 27 + s as u64, 70)
+            .into_iter()
+            .enumerate()
+        {
+            f.name = format!("{prefix}{i}");
+            m.functions.push(f);
+        }
+    }
+    let callers: Vec<_> = (m.functions.iter().step_by(5))
+        .map(|f| {
+            let params: Vec<_> = (f.params.iter())
+                .map(|p| (p.name.as_str(), p.ty.clone()))
+                .collect();
+            let name = format!("call.{}", f.name);
+            let mut b = FunctionBuilder::new(&name, &params, f.ret_ty.clone());
+            let args = (0..params.len() as u32).map(|i| b.arg(i)).collect();
+            let r = b.call(f.ret_ty.clone(), &f.name, args);
+            if f.ret_ty.is_void() {
+                b.ret_void();
+            } else {
+                b.ret(r);
+            }
+            b.finish()
+        })
+        .collect();
+    m.functions.extend(callers);
+    assert!(m.functions.len() >= 250);
+
+    for mode in [
+        PipelineMode::Legacy,
+        PipelineMode::Fixed,
+        PipelineMode::FixedFreezeBlind,
+    ] {
+        let pm = o2_pipeline(mode);
+        let mut whole = m.clone();
+        pm.run(&mut whole);
+        let mut each = m.clone();
+        let mut fam = FunctionAnalysisManager::new();
+        for f in &mut each.functions {
+            pm.run_on_function_with(f, &mut fam);
+        }
+        assert_eq!(
+            module_to_string(&whole),
+            module_to_string(&each),
+            "{mode:?}: per-function O2 diverged from module O2"
+        );
     }
 }
 
